@@ -6,16 +6,15 @@
 //! loopback port, publishes the mixed-responder repository *over the
 //! wire* (so the service texts round-trip through the protocol), then
 //! drives `clients` concurrent connections each issuing `iters` plan
-//! queries — once with the `enumerative` engine (the seed pipeline,
-//! re-walking the search per query) and once with `compositional`
-//! (reading plans off the broker's incrementally maintained composed
-//! product). Timed queries are production-shaped — `max_valid: 1`,
-//! "give me a valid orchestration", a constant-size reply however wide
-//! the plan space — so the numbers measure synthesis, not the size of
-//! a full verdict audit. After its timed window each connection issues
-//! untimed *full* queries checked for verdict equivalence against an
-//! in-process `synthesize` over the same repository — the daemon must
-//! answer exactly what the library answers, whichever engine ran.
+//! queries, which the broker reads off its incrementally maintained
+//! composed product (the `compositional` engine, its only one). Timed
+//! queries are production-shaped — `max_valid: 1`, "give me a valid
+//! orchestration", a constant-size reply however wide the plan space —
+//! so the numbers measure synthesis, not the size of a full verdict
+//! audit. After its timed window each connection issues untimed *full*
+//! queries whose valid set is checked against the in-process
+//! enumerative reference over the same repository — the daemon must
+//! answer exactly what the library answers.
 //!
 //! In the full configuration the harness also asserts the headline
 //! claim: compositional throughput on the 1296-candidate workload
@@ -113,9 +112,9 @@ fn percentile(sorted: &[u128], p: f64) -> u128 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Drives one workload against a fresh broker with the given engine.
-/// Returns the per-engine stats object and the measured throughput.
-fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str) -> (Json, f64) {
+/// Drives one workload against a fresh broker. Returns the stats
+/// object and the measured throughput.
+fn run_broker(w: &Workload, expected: &[String], client_text: &str) -> (Json, f64) {
     let handle = Broker::spawn(BrokerConfig {
         max_clients: w.clients + 8,
         ..BrokerConfig::default()
@@ -143,15 +142,11 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
         }
     }
 
-    // One untimed warm-up query: the compositional engine builds its
-    // product (the once-per-repository-state cost), the enumerative
-    // engine warms the shared cache — workers then measure the steady
+    // One untimed warm-up query builds the product (the
+    // once-per-repository-state cost) — workers then measure the steady
     // state a long-running daemon actually serves.
     let warmed = admin
-        .plan_with(
-            client_text,
-            Json::obj().with("engine", engine).with("max_valid", 1u64),
-        )
+        .plan_with(client_text, Json::obj().with("max_valid", 1u64))
         .expect("warm-up plan");
     assert_eq!(warmed.bool_field("ok"), Some(true), "warm-up rejected");
 
@@ -160,7 +155,6 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
         .map(|_| {
             let addr = addr.clone();
             let text = client_text.to_owned();
-            let engine = engine.to_owned();
             let expected = expected.to_owned();
             let barrier = Arc::clone(&barrier);
             let iters = w.iters;
@@ -172,12 +166,7 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
                 for _ in 0..iters {
                     let t = Instant::now();
                     let reply = conn
-                        .plan_with(
-                            &text,
-                            Json::obj()
-                                .with("engine", engine.as_str())
-                                .with("max_valid", 1u64),
-                        )
+                        .plan_with(&text, Json::obj().with("max_valid", 1u64))
                         .expect("plan request");
                     latencies.push(t.elapsed().as_micros());
                     assert_eq!(reply.bool_field("ok"), Some(true), "plan rejected");
@@ -186,7 +175,7 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
                             .get("stats")
                             .and_then(|s| s.str_field("engine"))
                             .unwrap_or("?"),
-                        engine,
+                        "compositional",
                         "broker ran the wrong engine"
                     );
                     let first = reply
@@ -197,12 +186,12 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
                         .expect("a valid plan");
                     assert!(
                         expected.binary_search(&first).is_ok(),
-                        "broker returned a plan in-process synthesis rejects ({engine})"
+                        "broker returned a plan in-process synthesis rejects"
                     );
                     assert_eq!(
                         reply.u64_field("valid_total"),
                         Some(expected.len() as u64),
-                        "valid-plan count diverged ({engine})"
+                        "valid-plan count diverged"
                     );
                 }
                 let elapsed = window.elapsed();
@@ -214,9 +203,7 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
                 // match in-process synthesis exactly.
                 let mut samples = 0usize;
                 for _ in 0..EQUIVALENCE_SAMPLES {
-                    let full = conn
-                        .plan_with(&text, Json::obj().with("engine", engine.as_str()))
-                        .expect("full plan request");
+                    let full = conn.plan(&text).expect("full plan request");
                     let mut valid: Vec<String> = full
                         .get("valid")
                         .and_then(Json::as_arr)
@@ -227,7 +214,7 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
                     valid.sort();
                     assert_eq!(
                         valid, expected,
-                        "remote verdicts diverged from in-process synthesis ({engine})"
+                        "remote verdicts diverged from in-process synthesis"
                     );
                     samples += 1;
                 }
@@ -262,7 +249,7 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
     let total = latencies.len();
     let throughput = total as f64 / wall;
     eprintln!(
-        "  {engine}: {total} requests in {:.1}ms ({throughput:.1} rps), p50 {}µs p95 {}µs p99 {}µs",
+        "  {total} requests in {:.1}ms ({throughput:.1} rps), p50 {}µs p95 {}µs p99 {}µs",
         wall * 1e3,
         percentile(&latencies, 50.0),
         percentile(&latencies, 95.0),
@@ -281,14 +268,12 @@ fn run_engine(w: &Workload, engine: &str, expected: &[String], client_text: &str
     if let Some(rate) = hit_rate {
         out.set("cache_hit_rate", rate);
     }
-    if engine == "compositional" {
-        out.set("product_reads", product_reads);
-    }
+    out.set("product_reads", product_reads);
     (out, throughput)
 }
 
-/// Runs one workload under both engines. Returns the JSON row and the
-/// compositional throughput (for the cliff assertion).
+/// Runs one workload. Returns the JSON row and the throughput (for the
+/// cliff assertion).
 fn run_workload(w: &Workload) -> (Json, f64) {
     let opts = SynthesisOptions::default();
 
@@ -304,10 +289,7 @@ fn run_workload(w: &Workload) -> (Json, f64) {
     assert!(!expected.is_empty(), "workload admits no valid plan");
 
     let client_text = w.topo.client.to_string();
-    let (enumerative, _) = run_engine(w, "enumerative", &expected, &client_text);
-    let (compositional, comp_rps) = run_engine(w, "compositional", &expected, &client_text);
-    let enum_rps = enumerative.get("throughput_rps").and_then(Json::as_f64);
-    let speedup = enum_rps.map(|e| comp_rps / e).unwrap_or(0.0);
+    let (compositional, comp_rps) = run_broker(w, &expected, &client_text);
 
     let candidates = w.topo.services.pow(w.topo.requests as u32);
     let mut row = Json::obj()
@@ -316,9 +298,7 @@ fn run_workload(w: &Workload) -> (Json, f64) {
         .with("candidates", candidates)
         .with("valid_plans", expected.len())
         .with("clients", w.clients)
-        .with("enumerative", enumerative)
-        .with("compositional", compositional)
-        .with("speedup_compositional", speedup);
+        .with("compositional", compositional);
     if let Some(source) = &w.topo.source {
         row.set("source", source.as_str());
     }
@@ -369,7 +349,7 @@ fn main() {
     out.push_str("{\n");
     write!(
         out,
-        "  \"bench\": \"broker\",\n  \"schema_version\": 2,\n  \"smoke\": {smoke},\n"
+        "  \"bench\": \"broker\",\n  \"schema_version\": 3,\n  \"smoke\": {smoke},\n"
     )
     .unwrap();
     out.push_str("  \"workloads\": [\n");

@@ -1,24 +1,21 @@
-//! E4 / B3 — plan synthesis: wall time, throughput, cache hit-rate and
-//! pruning/parallel speedups across plan spaces of 10²–10⁵ candidates,
-//! emitted as machine-readable `BENCH_plans.json`.
+//! E4 / B3 — plan synthesis: wall time, throughput and pruning
+//! speedups across plan spaces of 10²–10⁵ candidates, emitted as
+//! machine-readable `BENCH_plans.json`.
 //!
 //! Unlike the micro-benches, this target is a *harness*: for each
-//! workload it runs the same synthesis in four configurations —
+//! workload it runs the enumerative reference in two configurations —
 //!
-//! | mode         | cache | prune | jobs |
-//! |--------------|-------|-------|------|
-//! | `sequential` |   —   |   —   |  1   | (the seed pipeline)
-//! | `cached`     |   ✓   |   —   |  1   |
-//! | `pruned`     |   ✓   |   ✓   |  1   |
-//! | `parallel`   |   ✓   |   ✓   | auto |
+//! | mode         | prune |
+//! |--------------|-------|
+//! | `sequential` |   —   | (the paper's enumerate-then-verify loop)
+//! | `pruned`     |   ✓   | (the same walk with the compliance cut)
 //!
 //! plus the `compositional` engine: one product build against a fresh
 //! [`ProductStore`], then repeated queries reading plans off the
 //! maintained product (`query_ms` is the per-query mean). The harness
-//! asserts the modes agree (full verdict equality for `cached`, valid
-//! plan-set equality for the pruning modes and the compositional
-//! engine), that caching never slows synthesis down
-//! (`speedup_cached ≥ 1`), and records the numbers.
+//! asserts the engines agree (valid plan-set equality for the pruned
+//! reference, and the product's full report equals the pruned
+//! reference's) and records the numbers.
 //!
 //! Environment:
 //! * `SUFS_BENCH_SMOKE=1` — tiny workloads, for CI;
@@ -33,7 +30,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use sufs_bench::{gen_workload_from_env, mixed_responder_repo, multi_request_client};
-use sufs_core::pool::default_jobs;
 use sufs_core::{synthesize, Engine, ProductStore, Synthesis, SynthesisOptions};
 use sufs_net::Plan;
 use sufs_policy::PolicyRegistry;
@@ -41,7 +37,6 @@ use sufs_policy::PolicyRegistry;
 struct ModeResult {
     wall_ms: f64,
     plans_per_sec: f64,
-    cache_hit_rate: Option<f64>,
     pruned_subtrees: Option<usize>,
 }
 
@@ -74,7 +69,6 @@ fn mode_result(
         // Throughput over the *whole* candidate space: pruning gets
         // credit for deciding plans it never had to expand.
         plans_per_sec: candidates as f64 / best_wall,
-        cache_hit_rate: synthesis.stats.cache.as_ref().map(|c| c.hit_rate()),
         pruned_subtrees: opts.prune.then_some(synthesis.stats.pruned_subtrees),
     }
 }
@@ -86,9 +80,6 @@ fn json_mode(out: &mut String, name: &str, m: &ModeResult) {
         m.wall_ms, m.plans_per_sec
     )
     .unwrap();
-    if let Some(rate) = m.cache_hit_rate {
-        write!(out, ", \"cache_hit_rate\": {rate:.4}").unwrap();
-    }
     if let Some(pruned) = m.pruned_subtrees {
         write!(out, ", \"pruned_subtrees\": {pruned}").unwrap();
     }
@@ -154,13 +145,12 @@ fn main() {
             })
             .collect()
     };
-    let jobs = default_jobs();
 
     let mut out = String::new();
     out.push_str("{\n");
     write!(
         out,
-        "  \"bench\": \"plans\",\n  \"schema_version\": 2,\n  \"smoke\": {smoke},\n  \"jobs\": {jobs},\n"
+        "  \"bench\": \"plans\",\n  \"schema_version\": 3,\n  \"smoke\": {smoke},\n"
     )
     .unwrap();
     out.push_str("  \"workloads\": [\n");
@@ -172,26 +162,15 @@ fn main() {
         let registry = &w.registry;
         eprintln!("workload {}: {candidates} candidates", w.label);
 
-        let base = SynthesisOptions::default();
-        let sequential_opts = SynthesisOptions {
-            cache: false,
-            ..base.clone()
-        };
-        let cached_opts = base.clone();
+        let sequential_opts = SynthesisOptions::default();
         let pruned_opts = SynthesisOptions {
             prune: true,
-            ..base.clone()
-        };
-        let parallel_opts = SynthesisOptions {
-            prune: true,
-            jobs: 0,
-            ..base.clone()
+            ..SynthesisOptions::default()
         };
 
         let reps = if smoke || candidates >= 100_000 { 2 } else { 3 };
-        let mut walls = [f64::INFINITY; 4];
-        let (mut seq_synth, mut cached_synth, mut pruned_synth, mut par_synth) =
-            (None, None, None, None);
+        let mut walls = [f64::INFINITY; 2];
+        let (mut seq_synth, mut pruned_synth) = (None, None);
         for _ in 0..reps {
             seq_synth = Some(run_once(
                 client,
@@ -200,44 +179,23 @@ fn main() {
                 &sequential_opts,
                 &mut walls[0],
             ));
-            cached_synth = Some(run_once(
-                client,
-                repo,
-                registry,
-                &cached_opts,
-                &mut walls[1],
-            ));
             pruned_synth = Some(run_once(
                 client,
                 repo,
                 registry,
                 &pruned_opts,
-                &mut walls[2],
-            ));
-            par_synth = Some(run_once(
-                client,
-                repo,
-                registry,
-                &parallel_opts,
-                &mut walls[3],
+                &mut walls[1],
             ));
         }
-        let (seq_synth, cached_synth, pruned_synth, par_synth) = (
-            seq_synth.unwrap(),
-            cached_synth.unwrap(),
-            pruned_synth.unwrap(),
-            par_synth.unwrap(),
-        );
+        let (seq_synth, pruned_synth) = (seq_synth.unwrap(), pruned_synth.unwrap());
         let sequential = mode_result(&seq_synth, &sequential_opts, walls[0], candidates);
-        let cached = mode_result(&cached_synth, &cached_opts, walls[1], candidates);
-        let pruned = mode_result(&pruned_synth, &pruned_opts, walls[2], candidates);
-        let parallel = mode_result(&par_synth, &parallel_opts, walls[3], candidates);
+        let pruned = mode_result(&pruned_synth, &pruned_opts, walls[1], candidates);
 
         // Compositional: one product build, then repeated queries that
         // read plans off the maintained product.
         let comp_opts = SynthesisOptions {
             engine: Engine::Compositional,
-            ..base.clone()
+            ..SynthesisOptions::default()
         };
         let store = ProductStore::new();
         let start = Instant::now();
@@ -254,13 +212,9 @@ fn main() {
         }
         let comp_query_ms = start.elapsed().as_secs_f64() * 1e3 / query_reps as f64;
 
-        // Equivalence: cached must reproduce the sequential report
-        // verbatim; the pruning modes must agree on the valid plans.
-        assert_eq!(
-            seq_synth.report.verdicts(),
-            cached_synth.report.verdicts(),
-            "cached synthesis diverged from the sequential baseline"
-        );
+        // Equivalence: the pruned reference and the product must agree
+        // with the sequential reference on the valid plans, and the
+        // product's report must equal the pruned reference's.
         let valid = |s: &Synthesis| s.report.valid_plans().cloned().collect::<Vec<Plan>>();
         let expected = valid(&seq_synth);
         assert_eq!(
@@ -284,26 +238,14 @@ fn main() {
             "pruned synthesis lost valid plans"
         );
         assert_eq!(
-            valid(&par_synth),
-            expected,
-            "parallel synthesis lost valid plans"
-        );
-        assert_eq!(
-            valid(&comp_synth),
-            expected,
-            "compositional synthesis lost valid plans"
-        );
-        let speedup_cached = sequential.wall_ms / cached.wall_ms;
-        assert!(
-            speedup_cached >= 1.0,
-            "caching slowed synthesis down: sequential {:.3}ms vs cached {:.3}ms",
-            sequential.wall_ms,
-            cached.wall_ms
+            comp_synth.report.verdicts(),
+            pruned_synth.report.verdicts(),
+            "the compositional report diverged from the pruned reference"
         );
         eprintln!(
-            "  sequential {:.1}ms, cached {:.1}ms, pruned {:.1}ms, parallel {:.1}ms, \
+            "  sequential {:.1}ms, pruned {:.1}ms, \
              compositional build {comp_build_ms:.1}ms / query {comp_query_ms:.3}ms",
-            sequential.wall_ms, cached.wall_ms, pruned.wall_ms, parallel.wall_ms
+            sequential.wall_ms, pruned.wall_ms
         );
 
         if wi > 0 {
@@ -330,11 +272,7 @@ fn main() {
         .unwrap();
         json_mode(&mut out, "sequential", &sequential);
         out.push_str(",\n");
-        json_mode(&mut out, "cached", &cached);
-        out.push_str(",\n");
         json_mode(&mut out, "pruned", &pruned);
-        out.push_str(",\n");
-        json_mode(&mut out, "parallel", &parallel);
         out.push_str(",\n");
         writeln!(
             out,
@@ -344,10 +282,8 @@ fn main() {
         .unwrap();
         writeln!(
             out,
-            "      \"speedup_cached\": {:.2}, \"speedup_pruned\": {:.2}, \"speedup_parallel\": {:.2}, \"speedup_compositional\": {:.2}",
-            speedup_cached,
+            "      \"speedup_pruned\": {:.2}, \"speedup_compositional\": {:.2}",
             sequential.wall_ms / pruned.wall_ms,
-            sequential.wall_ms / parallel.wall_ms,
             sequential.wall_ms / comp_query_ms
         )
         .unwrap();

@@ -7,7 +7,10 @@
 //! Every fault ends by severing the connection, so a corrupted stream
 //! never silently re-synchronises — the client sees a transport error
 //! and retries with the same `req_id`, which is exactly the path the
-//! idempotency window must make safe.
+//! idempotency window must make safe. Once a fault has decided to
+//! sever, no further server bytes reach the client: a reply the fault
+//! itself provoked (to a duplicated frame, say) would otherwise race
+//! the cut and could land after the client had sent its next request.
 //!
 //! Determinism: connection `i` draws its fault plan from
 //! `SplitMix64(seed ⊕ mix(i))`, so a failing test seed replays the
@@ -174,6 +177,10 @@ fn proxy_connection(client: TcpStream, upstream: SocketAddr, fault: Fault) -> io
     let (srv_read, cli_write) = (server.try_clone()?, client.try_clone()?);
     let (cli_guard, srv_guard) = (client.try_clone()?, server.try_clone()?);
     let drop_reply = fault == Fault::DropReply;
+    // Set by the upstream direction before it writes a fault's final
+    // bytes: from then on the connection is being cut.
+    let severing = Arc::new(AtomicBool::new(false));
+    let cut = Arc::clone(&severing);
     let downstream = thread::spawn(move || {
         let mut from = srv_read;
         let mut to = cli_write;
@@ -182,9 +189,10 @@ fn proxy_connection(client: TcpStream, upstream: SocketAddr, fault: Fault) -> io
             match from.read(&mut buf) {
                 Ok(0) | Err(_) => break,
                 Ok(n) => {
-                    if drop_reply {
+                    if drop_reply || cut.load(Ordering::SeqCst) {
                         // The reply exists (the server committed the
-                        // mutation) but the client never sees it.
+                        // mutation) but the client never sees it; past
+                        // a fault's cut nothing reaches it at all.
                         break;
                     }
                     if to.write_all(&buf[..n]).is_err() {
@@ -197,14 +205,21 @@ fn proxy_connection(client: TcpStream, upstream: SocketAddr, fault: Fault) -> io
     });
 
     // Client → server: the faulty direction.
-    let result = forward_upstream(&client, &server, fault);
+    let result = forward_upstream(&client, &server, fault, &severing);
     sever(&client, &server);
     let _ = downstream.join();
     result
 }
 
-/// Forwards client bytes to the server under the fault plan.
-fn forward_upstream(client: &TcpStream, server: &TcpStream, fault: Fault) -> io::Result<()> {
+/// Forwards client bytes to the server under the fault plan, raising
+/// `severing` before the bytes that end the connection.
+fn forward_upstream(
+    client: &TcpStream,
+    server: &TcpStream,
+    fault: Fault,
+    severing: &AtomicBool,
+) -> io::Result<()> {
+    let sever_now = || severing.store(true, Ordering::SeqCst);
     let mut from = client.try_clone()?;
     let mut to = server.try_clone()?;
     let mut buf = [0u8; 4096];
@@ -220,15 +235,23 @@ fn forward_upstream(client: &TcpStream, server: &TcpStream, fault: Fault) -> io:
             Fault::None | Fault::DropReply => to.write_all(chunk)?,
             Fault::TearRequest { after_bytes } => {
                 let keep = chunk.len().min(after_bytes.saturating_sub(forwarded));
+                let tear = forwarded + chunk.len() >= after_bytes;
+                if tear {
+                    sever_now();
+                }
                 to.write_all(&chunk[..keep])?;
-                if forwarded + chunk.len() >= after_bytes {
+                if tear {
                     return Ok(()); // sever: the frame stays torn
                 }
             }
             Fault::GarbageThenClose { after_bytes } => {
                 let keep = chunk.len().min(after_bytes.saturating_sub(forwarded));
+                let garble = forwarded + chunk.len() >= after_bytes;
+                if garble {
+                    sever_now();
+                }
                 to.write_all(&chunk[..keep])?;
-                if forwarded + chunk.len() >= after_bytes {
+                if garble {
                     // Garbage that can never be a valid frame head: an
                     // oversized length prefix followed by noise.
                     to.write_all(&[0xff, 0xff, 0xff, 0xff, 0xde, 0xad])?;
@@ -236,6 +259,7 @@ fn forward_upstream(client: &TcpStream, server: &TcpStream, fault: Fault) -> io:
                 }
             }
             Fault::DuplicateThenClose => {
+                sever_now();
                 to.write_all(chunk)?;
                 to.write_all(chunk)?;
                 return Ok(());
@@ -262,6 +286,7 @@ fn forward_upstream(client: &TcpStream, server: &TcpStream, fault: Fault) -> io:
                     from.set_read_timeout(Some(Duration::from_millis(20)))?;
                 }
                 Some(held) => {
+                    sever_now();
                     to.write_all(chunk)?;
                     to.write_all(&held)?;
                     return Ok(());

@@ -369,7 +369,7 @@ impl BrokerClient {
         self.plan_with(client, Json::obj())
     }
 
-    /// `plan` with `extra` fields (e.g. `engine`) merged into the
+    /// `plan` with `extra` fields (e.g. `max_valid`) merged into the
     /// request.
     ///
     /// # Errors

@@ -67,12 +67,12 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use sufs_core::plans::DEFAULT_PLAN_CAP;
 use sufs_core::scenario::parse_scenario;
-use sufs_core::{
-    recovery_table, synthesize_with, Engine, ProductStore, SynthesisOptions, VerifyCache,
-};
+use sufs_core::{Engine, ProductStore, SynthesisOptions, VerifyCache};
 use sufs_hexpr::{parse_hist, Hist, Location};
 use sufs_lint::{LintEngine, Severity};
+use sufs_net::faults::RecoveryTable;
 use sufs_net::{ChoiceMode, FaultPlan, MonitorMode, Network, Outcome, Plan, Repository, Scheduler};
 use sufs_policy::PolicyRegistry;
 use sufs_rng::{SeedableRng, StdRng};
@@ -100,9 +100,9 @@ pub struct BrokerConfig {
     /// Admission cap: connections past this many concurrent clients
     /// get an explicit `busy` reply instead of queueing.
     pub max_clients: usize,
-    /// Synthesis options for `plan` queries (callers may override
-    /// `jobs`/`prune`/`plan_cap`/`seed` per request).
-    pub opts: SynthesisOptions,
+    /// Cap on the surviving candidate plans of one client's product;
+    /// a `plan` request may lower it, never raise it.
+    pub plan_cap: usize,
     /// Step budget for `run` requests.
     pub fuel: usize,
     /// Durable state directory. `None` (the default) keeps the PR-4
@@ -161,7 +161,7 @@ impl Default for BrokerConfig {
         BrokerConfig {
             addr: "127.0.0.1:0".to_owned(),
             max_clients: 64,
-            opts: SynthesisOptions::default(),
+            plan_cap: DEFAULT_PLAN_CAP,
             fuel: 100_000,
             state_dir: None,
             snapshot_every: 1024,
@@ -285,10 +285,10 @@ pub(crate) struct Shared {
     /// by name — the client set repository-wide lint passes analyze.
     pub(crate) clients: RwLock<Vec<(String, Hist)>>,
     pub(crate) cache: VerifyCache,
-    /// Composed products for the compositional engine, one per
-    /// distinct client behaviour; fingerprint-validated against the
-    /// live repository/registry on every query, so mutations need no
-    /// explicit product invalidation.
+    /// Composed products, one per distinct client behaviour: the only
+    /// synthesis engine behind `plan` and `run`. Fingerprint-validated
+    /// against the live repository/registry on every query, so
+    /// mutations need no explicit product invalidation.
     pub(crate) products: ProductStore,
     /// The incremental lint engine behind the `lint` command and the
     /// `--deny-lint` gate.
@@ -296,7 +296,7 @@ pub(crate) struct Shared {
     /// The configured gate severity; `None` disables gating.
     pub(crate) deny_lint: Option<Severity>,
     pub(crate) metrics: Metrics,
-    opts: SynthesisOptions,
+    plan_cap: usize,
     fuel: usize,
     pub(crate) shutting_down: AtomicBool,
     /// Read halves of admitted connections, shut down on drain so idle
@@ -409,7 +409,7 @@ impl Broker {
             lint: Mutex::new(LintEngine::new()),
             deny_lint: config.deny_lint,
             metrics: Metrics::new(),
-            opts: config.opts,
+            plan_cap: config.plan_cap,
             fuel: config.fuel,
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -592,7 +592,13 @@ fn warm_start(shared: &Shared) {
     for (_, client) in clients.iter() {
         if shared
             .products
-            .warm(client, &repo, &registry, &shared.opts, Some(&shared.cache))
+            .warm(
+                client,
+                &repo,
+                &registry,
+                &store_opts(shared.plan_cap),
+                Some(&shared.cache),
+            )
             .is_ok()
         {
             warmed += 1;
@@ -1236,26 +1242,13 @@ fn cmd_repo(shared: &Shared) -> Json {
         .with("clients", client_names)
 }
 
-/// Per-request synthesis options: the daemon's defaults, with the
-/// request's overrides applied.
-fn request_opts(request: &Json, base: &SynthesisOptions) -> SynthesisOptions {
-    let mut opts = base.clone();
-    if let Some(jobs) = request.u64_field("jobs") {
-        opts.jobs = jobs as usize;
+/// The product-store options for a query capped at `plan_cap`.
+fn store_opts(plan_cap: usize) -> SynthesisOptions {
+    SynthesisOptions {
+        plan_cap,
+        engine: Engine::Compositional,
+        ..SynthesisOptions::default()
     }
-    if let Some(cap) = request.u64_field("plan_cap") {
-        opts.plan_cap = cap as usize;
-    }
-    if let Some(seed) = request.u64_field("seed") {
-        opts.seed = seed;
-    }
-    if let Some(prune) = request.bool_field("prune") {
-        opts.prune = prune;
-    }
-    if let Some(engine) = request.str_field("engine").and_then(Engine::parse) {
-        opts.engine = engine;
-    }
-    opts
 }
 
 /// One verdict as a wire object: the plan (display form and a
@@ -1278,8 +1271,8 @@ pub fn verdict_json(verdict: &sufs_core::PlanVerdict) -> Json {
         .with("violations", violations)
 }
 
-/// `plan`: synthesize against the live repository through the shared
-/// cache; the broker's core query.
+/// `plan`: read the client's valid plans off its composed product in
+/// the shared store; the broker's core query.
 fn cmd_plan(request: &Json, shared: &Shared) -> Json {
     let text = match require_str(request, "client") {
         Ok(t) => t,
@@ -1289,70 +1282,64 @@ fn cmd_plan(request: &Json, shared: &Shared) -> Json {
         Ok(h) => h,
         Err(e) => return proto::error("parse", e.to_string()),
     };
-    let opts = request_opts(request, &shared.opts);
+    // One engine answers. A caller naming another one expects a
+    // different report shape, so it is refused rather than served.
+    if let Some(engine) = request.get("engine") {
+        if engine.as_str() != Some(Engine::Compositional.as_str()) {
+            return proto::error(
+                "bad_request",
+                format!("field `engine` must be \"compositional\", got {engine}"),
+            );
+        }
+    }
+    // A request may lower the daemon's plan cap, never raise it: the
+    // product walk runs under the store lock.
+    let plan_cap = match request.u64_field("plan_cap") {
+        Some(cap) => usize::try_from(cap).map_or(shared.plan_cap, |c| c.min(shared.plan_cap)),
+        None => shared.plan_cap,
+    };
+    let opts = store_opts(plan_cap);
     let repo = shared.repo.read().expect("repo lock");
     let registry = shared.registry.read().expect("registry lock");
     let start = Instant::now();
-    let max_valid = request.u64_field("max_valid");
-    if opts.engine == Engine::Compositional {
-        if let Some(k) = max_valid {
-            // The production fast path: first k valid plans plus the
-            // total count read straight off the resident product,
-            // without materialising the full verdict map — per-query
-            // cost independent of the plan-space width.
-            let read = shared.products.read_valid(
-                &client,
-                &repo,
-                &registry,
-                &opts,
-                Some(&shared.cache),
-                k as usize,
-            );
-            let (valid, total, stats) = match read {
-                Ok(r) => r,
-                Err(e) => return proto::error("verify", e.to_string()),
-            };
-            shared.metrics.observe_synthesis(start.elapsed());
-            shared.metrics.plans.fetch_add(1, Ordering::Relaxed);
-            let valid: Vec<Json> = valid.iter().map(|p| Json::str(p.to_string())).collect();
-            return proto::ok()
-                .with("valid", valid)
-                .with("valid_total", total)
-                .with("stats", synth_stats_json(&stats));
-        }
-    }
-    let result = if opts.engine == Engine::Compositional {
-        // The long-lived store reads off (or incrementally patches)
-        // the resident product instead of re-walking the plan space.
-        shared
-            .products
-            .synthesize(&client, &repo, &registry, &opts, Some(&shared.cache))
-    } else {
-        synthesize_with(&client, &repo, &registry, &opts, Some(&shared.cache))
-    };
-    let synthesis = match result {
-        Ok(s) => s,
-        Err(e) => return proto::error("verify", e.to_string()),
-    };
-    shared.metrics.observe_synthesis(start.elapsed());
-    shared.metrics.plans.fetch_add(1, Ordering::Relaxed);
-    // `max_valid` is the production query shape — "give me a valid
-    // orchestration" — where the reply must stay constant-size however
-    // wide the plan space is: the first k valid plans plus the total
-    // count, with the per-candidate verdict audit omitted.
-    if let Some(k) = max_valid {
-        let total = synthesis.report.valid_plans().count();
-        let valid: Vec<Json> = synthesis
-            .report
-            .valid_plans()
-            .take(k as usize)
-            .map(|p| Json::str(p.to_string()))
-            .collect();
+    if let Some(k) = request.u64_field("max_valid") {
+        // The production query shape — "give me a valid orchestration":
+        // the first k valid plans plus the total count, read straight
+        // off the resident product without materialising the verdict
+        // map, so the reply and its cost stay constant however wide the
+        // plan space is.
+        let read = shared.products.read_valid(
+            &client,
+            &repo,
+            &registry,
+            &opts,
+            Some(&shared.cache),
+            usize::try_from(k).unwrap_or(usize::MAX),
+        );
+        let (valid, total, stats) = match read {
+            Ok(r) => r,
+            Err(e) => return proto::error("verify", e.to_string()),
+        };
+        shared.metrics.observe_synthesis(start.elapsed());
+        shared.metrics.plans.fetch_add(1, Ordering::Relaxed);
+        let valid: Vec<Json> = valid.iter().map(|p| Json::str(p.to_string())).collect();
         return proto::ok()
             .with("valid", valid)
             .with("valid_total", total)
-            .with("stats", synth_stats_json(&synthesis.stats));
+            .with("stats", synth_stats_json(&stats));
     }
+    // The full report: every candidate surviving the compliance cut,
+    // with its verdict.
+    let synthesis =
+        match shared
+            .products
+            .synthesize(&client, &repo, &registry, &opts, Some(&shared.cache))
+        {
+            Ok(s) => s,
+            Err(e) => return proto::error("verify", e.to_string()),
+        };
+    shared.metrics.observe_synthesis(start.elapsed());
+    shared.metrics.plans.fetch_add(1, Ordering::Relaxed);
     let verdicts: Vec<Json> = synthesis
         .report
         .verdicts()
@@ -1376,7 +1363,6 @@ pub fn synth_stats_json(stats: &sufs_core::SynthStats) -> Json {
     let mut stats_json = Json::obj()
         .with("candidates", stats.candidates)
         .with("pruned_subtrees", stats.pruned_subtrees)
-        .with("jobs", stats.jobs)
         .with("prune_active", stats.prune_active)
         .with("engine", stats.engine.as_str())
         .with("elapsed_us", stats.elapsed.as_micros() as u64);
@@ -1447,37 +1433,48 @@ fn cmd_run(request: &Json, shared: &Shared) -> Json {
     let repo = shared.repo.read().expect("repo lock");
     let registry = shared.registry.read().expect("registry lock");
 
-    let plan = match request.str_field("plan") {
+    let forced = match request.str_field("plan") {
         Some(spec) => match parse_plan_spec(spec) {
-            Ok(p) => p,
+            Ok(p) => Some(p),
             Err(e) => return proto::error("bad_request", e),
         },
-        None => {
-            // No forced plan: synthesize one through the shared cache
-            // and refuse the run if no valid plan exists — a structured
-            // error, never a hang or a stale answer.
-            let start = Instant::now();
-            let synthesis =
-                match synthesize_with(&client, &repo, &registry, &shared.opts, Some(&shared.cache))
-                {
-                    Ok(s) => s,
-                    Err(e) => return proto::error("verify", e.to_string()),
-                };
-            shared.metrics.observe_synthesis(start.elapsed());
-            let first = synthesis.report.valid_plans().next().cloned();
-            match first {
-                Some(p) => p,
-                None => {
-                    return proto::error(
-                        "no_valid_plan",
-                        format!(
-                            "no valid plan among {} candidate(s) for this client",
-                            synthesis.report.len()
-                        ),
-                    )
-                }
-            }
+        None => None,
+    };
+    // The plan-sorted valid plans the run needs, read off the client's
+    // product: the first one when no plan is forced, all of them as the
+    // fallback chain when recovery is armed. No valid plan refuses an
+    // unforced run — a structured error, never a hang or a stale answer.
+    let mut chain = Vec::new();
+    if forced.is_none() || recover {
+        let k = if recover { usize::MAX } else { 1 };
+        let start = Instant::now();
+        let read = shared.products.read_valid(
+            &client,
+            &repo,
+            &registry,
+            &store_opts(shared.plan_cap),
+            Some(&shared.cache),
+            k,
+        );
+        let (valid, _, stats) = match read {
+            Ok(r) => r,
+            Err(e) => return proto::error("verify", e.to_string()),
+        };
+        shared.metrics.observe_synthesis(start.elapsed());
+        if forced.is_none() && valid.is_empty() {
+            return proto::error(
+                "no_valid_plan",
+                format!(
+                    "no valid plan among {} surviving candidate(s) for this client",
+                    stats.candidates
+                ),
+            );
         }
+        chain = valid;
+    }
+    let plan = match forced {
+        Some(p) => p,
+        None => chain[0].clone(),
     };
 
     let monitor = if request.bool_field("monitor").unwrap_or(false) {
@@ -1495,11 +1492,7 @@ fn cmd_run(request: &Json, shared: &Shared) -> Json {
         scheduler = scheduler.with_faults(f);
     }
     if recover {
-        let table = match recovery_table(std::slice::from_ref(&client), &repo, &registry) {
-            Ok(t) => t,
-            Err(e) => return proto::error("verify", e.to_string()),
-        };
-        scheduler = scheduler.with_recovery(table);
+        scheduler = scheduler.with_recovery(RecoveryTable::new().with_chain(chain));
     }
     let mut network = Network::new();
     network.add_client(Location::new("client"), client, plan.clone());

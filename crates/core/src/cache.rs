@@ -26,9 +26,9 @@
 //! intern once per run via [`VerifyCache::intern`] and look up with the
 //! returned [`CompositionId`], so the deep composition expression is
 //! fingerprinted once per run instead of twice per candidate. All maps
-//! sit behind mutexes so one cache can be shared across the worker
-//! threads of [`crate::pool::WorkPool`]; hit/miss counters are atomic
-//! and can be snapshotted at any point via [`VerifyCache::stats`].
+//! sit behind mutexes so one cache can be shared across the broker's
+//! connection threads; hit/miss counters are atomic and can be
+//! snapshotted at any point via [`VerifyCache::stats`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -202,8 +202,8 @@ type ProgressMap = Bucketed<(usize, Plan), Result<Option<StuckState>, usize>>;
 /// The verification memo table; see the module docs for the four layers.
 ///
 /// Cheap to create, internally synchronised, and safe to share by
-/// reference across verifier threads. A cache may be reused across
-/// `synthesize` calls as long as the *policy registry* is the same —
+/// reference across threads. A cache may be reused across product
+/// builds and per-plan checks as long as the *policy registry* is the same —
 /// validity verdicts depend on it, which is why the validity layer is
 /// keyed by `(composition, plan)` and a cache must not be shared across
 /// registries.

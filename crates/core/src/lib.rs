@@ -43,7 +43,6 @@ pub mod cache;
 pub mod discover;
 pub mod multi;
 pub mod plans;
-pub mod pool;
 pub mod product;
 pub mod recovery;
 pub mod report;
@@ -54,13 +53,12 @@ pub use cache::{CacheStats, CompositionId, VerifyCache};
 pub use discover::{discover, discover_matches, DiscoveryCandidate};
 pub use multi::{find_joint_deadlock, verify_network, ClientSpec, JointDeadlock, NetworkReport};
 pub use plans::{composed_requests, enumerate_plans, PlanSpaceExceeded};
-pub use pool::WorkPool;
 pub use product::{ProductInfo, ProductStats, ProductStore};
 pub use recovery::{
     fallback_chain, fallback_chain_with_cap, recovery_table, recovery_table_with_cap,
 };
 pub use report::VerifyReport;
 pub use verify::{
-    synthesize, synthesize_with, verify, verify_plan, verify_plan_with, verify_with_cap, Engine,
-    PlanVerdict, SynthStats, Synthesis, SynthesisOptions, VerifyError, Violation,
+    synthesize, verify, verify_plan, verify_plan_with, verify_with_cap, Engine, PlanVerdict,
+    SynthStats, Synthesis, SynthesisOptions, VerifyError, Violation,
 };

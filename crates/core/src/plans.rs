@@ -6,13 +6,13 @@
 //! enumeration closes over newly exposed requests: a plan is *complete*
 //! when every request reachable through its own bindings is bound.
 //!
-//! The search is organised around [`SearchNode`]s (a partial plan plus
-//! the queue of requests still to bind) walked depth-first by an
-//! explicit stack, so deep request chains cost O(n) queue work instead
-//! of the former `Vec::remove(0)` quadratic shuffle, and a *prune* hook
-//! can cut a whole subtree the moment a single binding is known bad —
-//! the engine behind `verify::synthesize`'s interleaved
-//! enumerate-and-verify mode. Distinct plans are deduplicated **during**
+//! The search is organised around search nodes (a partial plan plus the
+//! queue of requests still to bind) walked depth-first by an explicit
+//! stack, so deep request chains cost O(n) queue work instead of the
+//! former `Vec::remove(0)` quadratic shuffle, and a *prune* hook can cut
+//! a whole subtree the moment a single binding is known bad — the
+//! compliance cut shared by the pruned reference (`verify::synthesize`)
+//! and the composed product. Distinct plans are deduplicated **during**
 //! enumeration, so duplicates can never count toward the
 //! [`PlanSpaceExceeded`] cap.
 
@@ -44,16 +44,16 @@ pub const DEFAULT_PLAN_CAP: usize = 100_000;
 /// A node of the plan search tree: a partial plan plus the requests
 /// still waiting for a binding, in discovery order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SearchNode {
+struct SearchNode {
     /// The bindings committed so far.
-    pub(crate) plan: Plan,
+    plan: Plan,
     /// Requests not yet bound (front = next to bind).
-    pub(crate) pending: VecDeque<RequestId>,
+    pending: VecDeque<RequestId>,
 }
 
 impl SearchNode {
     /// The root node for `client`: an empty plan over its requests.
-    pub(crate) fn root(client: &Hist) -> SearchNode {
+    fn root(client: &Hist) -> SearchNode {
         SearchNode {
             plan: Plan::new(),
             pending: requests(client).into_iter().map(|r| r.id).collect(),
@@ -93,7 +93,7 @@ impl SearchNode {
 /// subtree rooted at extending `plan` with `r ↦ loc` before it is
 /// expanded; `emit` receives every complete plan and may abort the
 /// search by returning an error. Returns the number of subtrees cut.
-pub(crate) fn search<PF, EF>(
+fn search<PF, EF>(
     start: SearchNode,
     repo: &Repository,
     prune: &mut PF,
@@ -124,43 +124,6 @@ where
         }
     }
     Ok(pruned)
-}
-
-/// Breadth-first expansion of the search tree under `prune` until at
-/// least `target` open nodes exist (or the tree is exhausted): the seed
-/// step for running independent subtrees on the worker pool. Returns
-/// the open frontier, the plans already completed while expanding, and
-/// the number of subtrees cut.
-pub(crate) fn expand_frontier<PF>(
-    client: &Hist,
-    repo: &Repository,
-    target: usize,
-    prune: &mut PF,
-) -> (Vec<SearchNode>, Vec<Plan>, usize)
-where
-    PF: FnMut(&Plan, RequestId, &Location) -> bool,
-{
-    let mut pruned = 0usize;
-    let mut complete = Vec::new();
-    let mut frontier = VecDeque::from([SearchNode::root(client)]);
-    while frontier.len() < target.max(1) {
-        let Some(mut node) = frontier.pop_front() else {
-            break;
-        };
-        let Some(r) = node.next_request() else {
-            complete.push(node.plan);
-            continue;
-        };
-        node.pending.pop_front();
-        for (loc, service) in repo.iter() {
-            if prune(&node.plan, r, loc) {
-                pruned += 1;
-                continue;
-            }
-            frontier.push_back(node.bind_child(r, loc, service));
-        }
-    }
-    (frontier.into(), complete, pruned)
 }
 
 /// Enumerates every complete plan for `client` over `repo`, up to `cap`
@@ -196,23 +159,39 @@ pub fn enumerate_plans(
     repo: &Repository,
     cap: usize,
 ) -> Result<Vec<Plan>, PlanSpaceExceeded> {
+    let (plans, _) = surviving_plans(client, repo, cap, &mut |_, _, _| false)?;
+    Ok(plans.into_iter().collect())
+}
+
+/// The distinct complete plans `prune` does not cut, in plan order, up
+/// to `cap` of them, plus the number of subtrees cut: the candidate set
+/// shared by the pruned reference and the composed product.
+///
+/// # Errors
+///
+/// Returns [`PlanSpaceExceeded`] if more than `cap` distinct plans
+/// survive.
+pub(crate) fn surviving_plans<PF>(
+    client: &Hist,
+    repo: &Repository,
+    cap: usize,
+    prune: &mut PF,
+) -> Result<(BTreeSet<Plan>, usize), PlanSpaceExceeded>
+where
+    PF: FnMut(&Plan, RequestId, &Location) -> bool,
+{
     let mut seen: BTreeSet<Plan> = BTreeSet::new();
-    search(
-        SearchNode::root(client),
-        repo,
-        &mut |_, _, _| false,
-        &mut |plan| {
-            if seen.contains(&plan) {
-                return Ok(()); // duplicate: free, never counts toward the cap
-            }
-            if seen.len() >= cap {
-                return Err(PlanSpaceExceeded { cap });
-            }
-            seen.insert(plan);
-            Ok(())
-        },
-    )?;
-    Ok(seen.into_iter().collect())
+    let pruned = search(SearchNode::root(client), repo, prune, &mut |plan| {
+        if seen.contains(&plan) {
+            return Ok(()); // duplicate: free, never counts toward the cap
+        }
+        if seen.len() >= cap {
+            return Err(PlanSpaceExceeded { cap });
+        }
+        seen.insert(plan);
+        Ok(())
+    })?;
+    Ok((seen, pruned))
 }
 
 /// The requests of the whole composed service under a plan: the client's
@@ -411,33 +390,6 @@ mod tests {
         // under r1↦good: 1 surviving plan, 2 cuts.
         assert_eq!(out, vec![Plan::new().with(1u32, "good").with(2u32, "good")]);
         assert_eq!(cut, 2);
-    }
-
-    #[test]
-    fn frontier_expansion_partitions_the_space() {
-        let client = Hist::seq(
-            request(1, None, send("a", eps())),
-            request(2, None, send("a", eps())),
-        );
-        let repo = repo(&[
-            ("s1", recv("a", eps())),
-            ("s2", recv("a", eps())),
-            ("s3", recv("a", eps())),
-        ]);
-        let (frontier, complete, pruned) = expand_frontier(&client, &repo, 5, &mut |_, _, _| false);
-        assert!(frontier.len() >= 5);
-        assert!(complete.is_empty());
-        assert_eq!(pruned, 0);
-        // Finishing every frontier node recovers exactly the 9 plans.
-        let mut all = BTreeSet::new();
-        for node in frontier {
-            search(node, &repo, &mut |_, _, _| false, &mut |p| {
-                all.insert(p);
-                Ok(())
-            })
-            .unwrap();
-        }
-        assert_eq!(all.len(), 9);
     }
 
     #[test]

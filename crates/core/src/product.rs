@@ -1,6 +1,6 @@
 //! Compositional plan synthesis: the composed product.
 //!
-//! The enumerative pipeline ([`crate::verify::synthesize`]) re-walks a
+//! The enumerative reference ([`crate::verify::synthesize`]) re-walks a
 //! plan space exponential in the number of requests on *every* query,
 //! although the repository state it walks rarely changes between
 //! queries. Following the contract-automata line (one product/controller
@@ -38,7 +38,7 @@
 //! paths run the same deterministic checks over the same inputs and
 //! store results in plan-sorted maps.
 //!
-//! # Equivalence with the enumerative engines
+//! # Equivalence with the enumerative reference
 //!
 //! When compliance pruning is sound (every request identifier carries
 //! one structural body — see `prune_safe_bodies`), the product's report
@@ -62,7 +62,7 @@ use sufs_net::{Plan, Repository};
 use sufs_policy::PolicyRegistry;
 
 use crate::cache::VerifyCache;
-use crate::plans::{search, PlanSpaceExceeded, SearchNode};
+use crate::plans::{self, PlanSpaceExceeded};
 use crate::report::VerifyReport;
 use crate::verify::{
     check_plan, prune_safe_bodies, ComplianceMemo, Engine, PlanVerdict, SynthStats, Synthesis,
@@ -166,13 +166,13 @@ impl Product {
 fn edge_row<'a>(
     body: &Hist,
     locations: impl Iterator<Item = (&'a Location, &'a Hist)>,
-    cache: Option<&VerifyCache>,
+    cache: &VerifyCache,
 ) -> BTreeMap<Location, bool> {
-    let client_side = crate::verify::contract_of(cache, body);
+    let client_side = cache.contract_of(body);
     locations
         .map(|(loc, service)| {
-            let admissible = match (&client_side, crate::verify::contract_of(cache, service)) {
-                (Ok(c), Ok(s)) => crate::verify::witness_of(cache, c, &s).is_none(),
+            let admissible = match (&client_side, cache.contract_of(service)) {
+                (Ok(c), Ok(s)) => cache.compliance_witness(c, &s).is_none(),
                 _ => true,
             };
             (loc.clone(), admissible)
@@ -188,23 +188,9 @@ fn surviving_plans(
     edges: &BTreeMap<RequestId, BTreeMap<Location, bool>>,
     cap: usize,
 ) -> Result<(BTreeSet<Plan>, usize), PlanSpaceExceeded> {
-    let mut seen: BTreeSet<Plan> = BTreeSet::new();
-    let pruned = search(
-        SearchNode::root(client),
-        repo,
-        &mut |_plan, r, loc| matches!(edges.get(&r).and_then(|row| row.get(loc)), Some(false)),
-        &mut |plan| {
-            if seen.contains(&plan) {
-                return Ok(());
-            }
-            if seen.len() >= cap {
-                return Err(PlanSpaceExceeded { cap });
-            }
-            seen.insert(plan);
-            Ok(())
-        },
-    )?;
-    Ok((seen, pruned))
+    plans::surviving_plans(client, repo, cap, &mut |_plan, r, loc| {
+        matches!(edges.get(&r).and_then(|row| row.get(loc)), Some(false))
+    })
 }
 
 fn build_product(
@@ -212,7 +198,7 @@ fn build_product(
     repo: &Repository,
     registry: &PolicyRegistry,
     cap: usize,
-    cache: Option<&VerifyCache>,
+    cache: &VerifyCache,
 ) -> Result<Product, VerifyError> {
     let bodies = prune_safe_bodies(client, repo);
     let edges: BTreeMap<RequestId, BTreeMap<Location, bool>> = match &bodies {
@@ -223,7 +209,7 @@ fn build_product(
         None => BTreeMap::new(),
     };
     let (surviving, pruned_subtrees) = surviving_plans(client, repo, &edges, cap)?;
-    let comp = cache.map(|c| c.intern(client));
+    let comp = Some(cache.intern(client));
     let memo = ComplianceMemo::new();
     let mut verdicts = BTreeMap::new();
     for plan in surviving {
@@ -233,9 +219,8 @@ fn build_product(
             &plan,
             repo,
             registry,
-            cache,
+            Some(cache),
             Some(&memo),
-            true,
         )?;
         verdicts.insert(plan, verdict);
     }
@@ -258,7 +243,7 @@ fn patch_product(
     repo: &Repository,
     registry: &PolicyRegistry,
     cap: usize,
-    cache: Option<&VerifyCache>,
+    cache: &VerifyCache,
 ) -> Result<usize, VerifyError> {
     let new_sig = repo_signature(repo);
     let new_registry_fp = registry_fingerprint(registry);
@@ -324,7 +309,7 @@ fn patch_product(
     }
 
     let (surviving, pruned_subtrees) = surviving_plans(client, repo, &product.edges, cap)?;
-    let comp = cache.map(|c| c.intern(client));
+    let comp = Some(cache.intern(client));
     let memo = ComplianceMemo::new();
     let mut verdicts = BTreeMap::new();
     for plan in surviving {
@@ -337,9 +322,8 @@ fn patch_product(
                 &plan,
                 repo,
                 registry,
-                cache,
+                Some(cache),
                 Some(&memo),
-                true,
             )?,
         };
         verdicts.insert(plan, verdict);
@@ -363,8 +347,8 @@ struct Entry {
 pub const DEFAULT_STORE_CAPACITY: usize = 64;
 
 /// A bounded store of composed products, keyed by client behaviour:
-/// the long-lived structure behind the broker's compositional engine
-/// (one entry per distinct client) and the one-shot structure behind
+/// the long-lived structure behind every broker query (one entry per
+/// distinct client) and the one-shot structure behind
 /// `sufs verify --engine compositional`.
 ///
 /// Internally synchronised; a query holds the store lock for the
@@ -372,8 +356,9 @@ pub const DEFAULT_STORE_CAPACITY: usize = 64;
 /// the same repository state serialise on the structure they share —
 /// by design, since the second query then reads off the first one's
 /// work. When used with a shared [`VerifyCache`], the caller keeps the
-/// cache sound exactly as for [`crate::verify::synthesize_with`]
-/// (invalidate on every repository/registry mutation); the product
+/// cache sound by invalidating it on every repository mutation
+/// ([`VerifyCache::invalidate_location`]) and registry mutation
+/// ([`VerifyCache::invalidate_registry`]); the product
 /// itself needs no invalidation calls — it re-validates against the
 /// current fingerprints on every query.
 #[derive(Debug)]
@@ -527,13 +512,12 @@ impl ProductStore {
         let start = Instant::now();
         wf::check(client).map_err(VerifyError::IllFormedClient)?;
         let local;
-        let (cache, mark) = if !opts.cache {
-            (None, None)
-        } else if let Some(shared) = shared {
-            (Some(shared), Some(shared.stats()))
-        } else {
-            local = VerifyCache::new();
-            (Some(&local), None)
+        let (cache, mark) = match shared {
+            Some(shared) => (shared, Some(shared.stats())),
+            None => {
+                local = VerifyCache::new();
+                (&local, None)
+            }
         };
 
         let client_fp = stable_hash_of(client);
@@ -588,9 +572,17 @@ impl ProductStore {
             }
         };
 
+        // The cap binds every read, not only builds and patches: a
+        // product resident from a roomier query must not answer one
+        // with a lower cap that a cold build would refuse.
+        let candidates = entry.product.verdicts.len();
+        if candidates > opts.plan_cap {
+            return Err(VerifyError::PlanSpace(PlanSpaceExceeded {
+                cap: opts.plan_cap,
+            }));
+        }
         info.admissible_edges = entry.product.admissible_edges();
         info.total_edges = entry.product.total_edges();
-        let candidates = entry.product.verdicts.len();
         let pruned_subtrees = entry.product.pruned_subtrees;
         let prune_active = entry.product.bodies.is_some();
         let out = read(&entry.product);
@@ -599,11 +591,10 @@ impl ProductStore {
         let stats = SynthStats {
             candidates,
             pruned_subtrees,
-            jobs: 1,
             prune_active,
-            cache: cache.map(|c| match &mark {
-                Some(mark) => c.stats().since(mark),
-                None => c.stats(),
+            cache: Some(match &mark {
+                Some(mark) => cache.stats().since(mark),
+                None => cache.stats(),
             }),
             engine: Engine::Compositional,
             product: Some(info),
@@ -627,15 +618,13 @@ impl ProductStore {
         repo: &Repository,
         cap: usize,
     ) -> Result<Vec<Plan>, PlanSpaceExceeded> {
-        let (plans, _) = surviving_plans(client, repo, &BTreeMap::new(), cap)?;
-        Ok(plans.into_iter().collect())
+        plans::enumerate_plans(client, repo, cap)
     }
 }
 
 /// One-shot compositional synthesis against a fresh store: the path
-/// behind [`crate::verify::synthesize_with`] when
-/// `opts.engine == Engine::Compositional` and no long-lived store is
-/// supplied.
+/// behind [`crate::verify::synthesize`] when
+/// `opts.engine == Engine::Compositional`.
 ///
 /// # Errors
 ///
@@ -811,5 +800,64 @@ mod tests {
             .synthesize(&client, &repo, &registry, &opts, None)
             .unwrap_err();
         assert!(matches!(err, VerifyError::PlanSpace(_)));
+    }
+
+    #[test]
+    fn warm_store_honours_a_lower_cap_like_a_cold_store() {
+        // Five compliant services for a one-request client: five
+        // surviving candidates, over a cap of 2.
+        let client = request(1u32, None, seq([send("q", eps()), offer([("a", eps())])]));
+        let mut repo = Repository::new();
+        for i in 0..5 {
+            repo.publish(format!("good{i}"), recv("q", choose([("a", eps())])));
+        }
+        let registry = PolicyRegistry::new();
+        let capped = SynthesisOptions {
+            plan_cap: 2,
+            ..SynthesisOptions::default()
+        };
+        let warm = ProductStore::new();
+        warm.synthesize(
+            &client,
+            &repo,
+            &registry,
+            &SynthesisOptions::default(),
+            None,
+        )
+        .unwrap();
+        let cold = ProductStore::new().read_valid(&client, &repo, &registry, &capped, None, 1);
+        let warmed = warm.read_valid(&client, &repo, &registry, &capped, None, 1);
+        let oracle = synthesize(
+            &client,
+            &repo,
+            &registry,
+            &SynthesisOptions {
+                prune: true,
+                ..capped.clone()
+            },
+        );
+        for (who, err) in [
+            ("cold store", cold.map(|_| ()).unwrap_err()),
+            ("warm store", warmed.map(|_| ()).unwrap_err()),
+            ("pruned reference", oracle.map(|_| ()).unwrap_err()),
+        ] {
+            assert_eq!(
+                err,
+                VerifyError::PlanSpace(PlanSpaceExceeded { cap: 2 }),
+                "{who}"
+            );
+        }
+        // The same warm store still answers at its roomier cap.
+        let (_, total, _) = warm
+            .read_valid(
+                &client,
+                &repo,
+                &registry,
+                &SynthesisOptions::default(),
+                None,
+                1,
+            )
+            .unwrap();
+        assert_eq!(total, 5);
     }
 }

@@ -15,48 +15,38 @@
 //! A plan passing all three is *valid*: "switch off any run-time
 //! monitor, and live happily: nothing bad will happen" (§5).
 //!
-//! # Synthesis modes
+//! # Engines
 //!
-//! [`synthesize`] is the engine behind [`verify`] / [`verify_with_cap`]
-//! and adds three orthogonal accelerations over the naive
-//! enumerate-then-verify loop, controlled by [`SynthesisOptions`]:
+//! [`synthesize`] answers with one of two engines ([`Engine`]):
 //!
-//! * **caching** — a [`VerifyCache`] memoizes contract projection,
-//!   pairwise compliance, and the per-plan security/progress checks, so
-//!   an `r`-request, `s`-service plan space pays for `O(r·s)` product
-//!   automata instead of `O(r·sʳ)`;
-//! * **pruning** — enumeration and verification interleave: the moment a
-//!   binding `r ↦ ℓ` fails its pairwise compliance check, the whole
-//!   subtree of plans extending it is cut. Pruning on compliance alone
-//!   is *sound* (the failing pair is re-checked in every completion, so
-//!   every plan in the subtree would be rejected anyway); pruning on
-//!   policy verdicts would not be, because policies are history-dependent
-//!   and a violating session may be unreachable in a larger composition.
-//!   Pruning is automatically disabled when the same request identifier
-//!   occurs with two structurally different bodies (the composed body
-//!   would then be ambiguous at cut time);
-//! * **parallelism** — independent subtrees run on the in-tree
-//!   work-stealing [`WorkPool`], with results merged in a deterministic
-//!   (plan-sorted) order regardless of schedule.
+//! * the **enumerative reference** — the paper's literal §5 procedure,
+//!   transcribed from Defs. 2–5: enumerate every candidate plan, then
+//!   run the three checks on each, sequentially and without memoising
+//!   anything. It is the differential oracle the product is tested
+//!   against, not a production path. With [`SynthesisOptions::prune`]
+//!   the same depth-first search cuts a subtree the moment a binding
+//!   `r ↦ ℓ` fails its pairwise compliance check. The cut is *sound*:
+//!   the failing pair is re-checked in every completion, so every plan
+//!   in the subtree would be rejected anyway. Pruning on policy
+//!   verdicts would not be, because policies are history-dependent and
+//!   a violating session may be unreachable in a larger composition.
+//!   Pruning switches itself off when one request identifier occurs
+//!   with two structurally different bodies (the composed body would
+//!   then be ambiguous at cut time);
+//! * the **composed product** ([`crate::product`]) — the production
+//!   engine, whose report equals the pruned reference's.
 //!
-//! With pruning off, the report is **identical** to the sequential seed
-//! pipeline's. With pruning on, the *valid* plan set is identical, while
-//! compliance-rejected plans may be cut before they reach the report
-//! (their verdicts are exactly the ones the pruned pairwise check
-//! already decided).
+//! Unpruned, the report lists every candidate. Pruned, the *valid* plan
+//! set is identical, while compliance-rejected plans may be cut before
+//! they reach the report.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::cache::{CacheStats, CompositionId, VerifyCache};
-use crate::plans::{
-    composed_requests, enumerate_plans, expand_frontier, search, PlanSpaceExceeded, SearchNode,
-    DEFAULT_PLAN_CAP,
-};
-use crate::pool::WorkPool;
+use crate::plans::{composed_requests, surviving_plans, PlanSpaceExceeded, DEFAULT_PLAN_CAP};
 use crate::product::ProductInfo;
 use crate::report::VerifyReport;
 use sufs_contract::{compliant, Contract, ContractError, StuckWitness};
@@ -204,10 +194,7 @@ impl From<PlanSpaceExceeded> for VerifyError {
 }
 
 /// Memoized-or-direct contract projection.
-pub(crate) fn contract_of(
-    cache: Option<&VerifyCache>,
-    h: &Hist,
-) -> Result<Contract, ContractError> {
+fn contract_of(cache: Option<&VerifyCache>, h: &Hist) -> Result<Contract, ContractError> {
     match cache {
         Some(c) => c.contract_of(h),
         None => Contract::from_service(h),
@@ -215,7 +202,7 @@ pub(crate) fn contract_of(
 }
 
 /// Memoized-or-direct pairwise compliance witness.
-pub(crate) fn witness_of(
+fn witness_of(
     cache: Option<&VerifyCache>,
     client: &Contract,
     server: &Contract,
@@ -253,9 +240,8 @@ impl ComplianceMemo {
         }
     }
 
-    /// The memoized witness for `key`, computing (outside the lock —
-    /// parallel workers may race to duplicate work, never to block) on
-    /// first sight.
+    /// The memoized witness for `key`, computing it (outside the lock)
+    /// on first sight.
     fn witness<F>(
         &self,
         key: (RequestId, Location),
@@ -278,14 +264,8 @@ impl ComplianceMemo {
 /// well-formedness check. `comp` is the composition interned once per
 /// run (hot loops pass it so the deep client expression is never
 /// re-hashed per candidate), `memo` the run's compliance memo (same
-/// idea, for the pairwise witnesses); one-shot callers pass `None`.
-///
-/// `per_plan` gates the plan-keyed validity/progress memo layers: a
-/// bulk run over a *run-local* cache enumerates each plan exactly
-/// once, so those layers could never hit and their insertions would be
-/// pure overhead — callers with a caller-owned long-lived cache pass
-/// `true`, bulk runs over a local cache pass `false`.
-#[allow(clippy::too_many_arguments)] // run-scoped context, all call sites are crate-internal
+/// idea, for the pairwise witnesses); one-shot callers and the
+/// reference pass `None`.
 pub(crate) fn check_plan(
     client: &Hist,
     comp: Option<CompositionId>,
@@ -294,7 +274,6 @@ pub(crate) fn check_plan(
     registry: &PolicyRegistry,
     cache: Option<&VerifyCache>,
     memo: Option<&ComplianceMemo>,
-    per_plan: bool,
 ) -> Result<PlanVerdict, VerifyError> {
     let mut violations = Vec::new();
 
@@ -339,7 +318,7 @@ pub(crate) fn check_plan(
             DEFAULT_STATE_BOUND,
         )
     };
-    let verdict = match (cache.filter(|_| per_plan), comp) {
+    let verdict = match (cache, comp) {
         (Some(c), Some(id)) => c.validity_interned(id, plan, run_validity)?,
         (Some(c), None) => c.validity(client, plan, run_validity)?,
         (None, _) => run_validity()?,
@@ -350,7 +329,7 @@ pub(crate) fn check_plan(
 
     // 3. Progress: no reachable stuck configuration.
     let run_progress = || find_stuck("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND);
-    let progress = match (cache.filter(|_| per_plan), comp) {
+    let progress = match (cache, comp) {
         (Some(c), Some(id)) => c.progress_interned(id, plan, run_progress),
         (Some(c), None) => c.progress(client, plan, run_progress),
         (None, _) => run_progress(),
@@ -393,8 +372,7 @@ pub fn verify_plan(
 /// [`verify_plan`] against a caller-owned [`VerifyCache`]: the per-plan
 /// entry point behind the incremental lint engine, which splices
 /// memoized verdicts and re-verifies only the plans whose bound
-/// locations changed. Verdict-identical to routing the plan through
-/// [`synthesize_with`] under the same cache.
+/// locations changed. Verdict-identical to [`verify_plan`].
 ///
 /// # Errors
 ///
@@ -407,14 +385,14 @@ pub fn verify_plan_with(
     cache: Option<&VerifyCache>,
 ) -> Result<PlanVerdict, VerifyError> {
     wf::check(client).map_err(VerifyError::IllFormedClient)?;
-    check_plan(client, None, plan, repo, registry, cache, None, true)
+    check_plan(client, None, plan, repo, registry, cache, None)
 }
 
 /// Which synthesis engine answers a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Walk the candidate plan space and verify each plan: the paper's
-    /// literal §5 procedure, kept as the differential oracle.
+    /// literal §5 procedure, kept as the sequential reference.
     #[default]
     Enumerative,
     /// Read plans off the composed product ([`crate::product`]),
@@ -448,25 +426,16 @@ impl fmt::Display for Engine {
     }
 }
 
-/// Tuning knobs for [`synthesize`]; the default configuration matches
-/// the behaviour of [`verify`] exactly (sequential, cached, no pruning,
-/// enumerative).
+/// Options for [`synthesize`]; the default configuration matches the
+/// behaviour of [`verify`] exactly (enumerative, no pruning).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynthesisOptions {
-    /// Cap on candidate plans (distinct plans in unpruned mode,
-    /// surviving candidates in pruned and compositional modes).
+    /// Cap on candidate plans (distinct plans unpruned, surviving
+    /// candidates pruned and compositional).
     pub plan_cap: usize,
-    /// Worker threads; `0` means the machine's available parallelism,
-    /// `1` (the default) runs inline.
-    pub jobs: usize,
-    /// Memoize contract projection, compliance, and per-plan checks.
-    pub cache: bool,
     /// Cut subtrees on pairwise compliance failures (see module docs for
     /// when this is sound and when it auto-disables).
     pub prune: bool,
-    /// Seed for the pool's steal sequence (reproducibility knob; never
-    /// affects results).
-    pub seed: u64,
     /// The engine answering the query (see [`Engine`]).
     pub engine: Engine,
 }
@@ -475,10 +444,7 @@ impl Default for SynthesisOptions {
     fn default() -> Self {
         SynthesisOptions {
             plan_cap: DEFAULT_PLAN_CAP,
-            jobs: 1,
-            cache: true,
             prune: false,
-            seed: 0,
             engine: Engine::Enumerative,
         }
     }
@@ -491,11 +457,10 @@ pub struct SynthStats {
     pub candidates: usize,
     /// Subtrees cut by the compliance prune.
     pub pruned_subtrees: usize,
-    /// Worker threads used.
-    pub jobs: usize,
     /// Whether pruning was requested *and* sound for these inputs.
     pub prune_active: bool,
-    /// Cache counters, if caching was enabled.
+    /// Cache counters of the compositional engine (the reference
+    /// memoises nothing).
     pub cache: Option<CacheStats>,
     /// The engine that answered the query.
     pub engine: Engine,
@@ -509,8 +474,8 @@ impl fmt::Display for SynthStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} candidates in {:?} ({} jobs, {} subtrees pruned",
-            self.candidates, self.elapsed, self.jobs, self.pruned_subtrees
+            "{} candidates in {:?} ({} subtrees pruned",
+            self.candidates, self.elapsed, self.pruned_subtrees
         )?;
         match &self.cache {
             Some(stats) => write!(f, ", cache: {stats})"),
@@ -557,152 +522,13 @@ pub(crate) fn prune_safe_bodies(
     Some(map)
 }
 
-/// Interleaved enumerate-and-verify over pool workers; see module docs.
-fn synth_pruned(
-    client: &Hist,
-    repo: &Repository,
-    registry: &PolicyRegistry,
-    cache: Option<&VerifyCache>,
-    pool: &WorkPool,
-    cap: usize,
-    per_plan: bool,
-) -> Result<(Vec<PlanVerdict>, usize, bool), VerifyError> {
-    let bodies = prune_safe_bodies(client, repo);
-    let prune_active = bodies.is_some();
-    let comp = cache.map(|c| c.intern(client));
-    let memo = cache.map(|_| ComplianceMemo::new());
-    let prune = |_plan: &Plan, r: RequestId, loc: &Location| -> bool {
-        let Some(bodies) = &bodies else { return false };
-        let Some(body) = bodies.get(&r) else {
-            return false;
-        };
-        let Some(service) = repo.get(loc) else {
-            return false;
-        };
-        // A projection error must surface through full verification, so
-        // it never prunes.
-        let Ok(client_side) = contract_of(cache, body) else {
-            return false;
-        };
-        let Ok(server_side) = contract_of(cache, service) else {
-            return false;
-        };
-        witness_of(cache, &client_side, &server_side).is_some()
-    };
-
-    // Seed enough independent subtrees to keep every worker busy.
-    let (frontier, complete, mut pruned) = expand_frontier(
-        client,
-        repo,
-        pool.jobs().saturating_mul(4),
-        &mut |p, r, l| prune(p, r, l),
-    );
-
-    enum Unit {
-        Done(Plan),
-        Subtree(SearchNode),
-    }
-    let units: Vec<Unit> = complete
-        .into_iter()
-        .map(Unit::Done)
-        .chain(frontier.into_iter().map(Unit::Subtree))
-        .collect();
-
-    // Surviving candidates across all workers count toward the cap; the
-    // counter makes "over cap" deterministic even though *which* worker
-    // observes the overflow is not.
-    let emitted = AtomicUsize::new(0);
-    let results = pool.run(
-        units.len(),
-        |i| -> Result<(Vec<PlanVerdict>, usize), VerifyError> {
-            match &units[i] {
-                Unit::Done(plan) => {
-                    if emitted.fetch_add(1, Ordering::Relaxed) >= cap {
-                        return Err(VerifyError::PlanSpace(PlanSpaceExceeded { cap }));
-                    }
-                    check_plan(
-                        client,
-                        comp,
-                        plan,
-                        repo,
-                        registry,
-                        cache,
-                        memo.as_ref(),
-                        per_plan,
-                    )
-                    .map(|v| (vec![v], 0))
-                }
-                Unit::Subtree(node) => {
-                    let mut verdicts = Vec::new();
-                    let mut error: Option<VerifyError> = None;
-                    let cut = search(
-                        node.clone(),
-                        repo,
-                        &mut |p, r, l| prune(p, r, l),
-                        &mut |plan| {
-                            if emitted.fetch_add(1, Ordering::Relaxed) >= cap {
-                                return Err(PlanSpaceExceeded { cap });
-                            }
-                            match check_plan(
-                                client,
-                                comp,
-                                &plan,
-                                repo,
-                                registry,
-                                cache,
-                                memo.as_ref(),
-                                per_plan,
-                            ) {
-                                Ok(v) => {
-                                    verdicts.push(v);
-                                    Ok(())
-                                }
-                                Err(e) => {
-                                    // Abort this subtree; the real error is
-                                    // restored below.
-                                    error = Some(e);
-                                    Err(PlanSpaceExceeded { cap })
-                                }
-                            }
-                        },
-                    );
-                    match (cut, error) {
-                        (_, Some(e)) => Err(e),
-                        (Err(e), None) => Err(VerifyError::PlanSpace(e)),
-                        (Ok(c), None) => Ok((verdicts, c)),
-                    }
-                }
-            }
-        },
-    );
-
-    // A cap overflow mirrors the sequential pipeline (which fails during
-    // enumeration, before any other error can surface), so it wins over
-    // per-plan errors; ties otherwise break by unit index.
-    if results
-        .iter()
-        .any(|r| matches!(r, Err(VerifyError::PlanSpace(_))))
-    {
-        return Err(VerifyError::PlanSpace(PlanSpaceExceeded { cap }));
-    }
-    let mut merged: BTreeMap<Plan, PlanVerdict> = BTreeMap::new();
-    for result in results {
-        let (verdicts, cut) = result?;
-        pruned += cut;
-        for v in verdicts {
-            merged.insert(v.plan.clone(), v);
-        }
-    }
-    Ok((merged.into_values().collect(), pruned, prune_active))
-}
-
-/// Plan synthesis with pruning, caching, and parallelism per `opts`;
-/// the engine behind [`verify`] and `sufs verify`.
+/// Plan synthesis with the engine and pruning `opts` select; the engine
+/// behind [`verify`] and `sufs verify`.
 ///
-/// Determinism: for fixed inputs and options the returned report is
-/// identical run over run, whatever the thread schedule — verdicts are
-/// merged in plan-sorted order and the cache only memoizes pure
-/// functions of its keys.
+/// The enumerative reference verifies the candidates one by one in plan
+/// order, so the report is identical run over run. A cap overflow
+/// surfaces before any plan is verified, as in the paper's
+/// enumerate-then-verify reading.
 ///
 /// # Errors
 ///
@@ -714,93 +540,45 @@ pub fn synthesize(
     registry: &PolicyRegistry,
     opts: &SynthesisOptions,
 ) -> Result<Synthesis, VerifyError> {
-    synthesize_with(client, repo, registry, opts, None)
-}
-
-/// [`synthesize`] against a caller-owned, long-lived [`VerifyCache`]:
-/// the broker's re-synthesis path. With `opts.cache` set and a `shared`
-/// cache supplied, memo entries survive across calls — the caller is
-/// responsible for soundness by invalidating on every repository
-/// mutation ([`VerifyCache::invalidate_location`]) and registry
-/// mutation ([`VerifyCache::invalidate_registry`]), and for never
-/// sharing one cache across unrelated registries. The reported cache
-/// stats are the *delta* attributable to this call, so hit rates stay
-/// meaningful run over run.
-///
-/// # Errors
-///
-/// As [`synthesize`].
-pub fn synthesize_with(
-    client: &Hist,
-    repo: &Repository,
-    registry: &PolicyRegistry,
-    opts: &SynthesisOptions,
-    shared: Option<&VerifyCache>,
-) -> Result<Synthesis, VerifyError> {
     if opts.engine == Engine::Compositional {
         // One-shot product build; long-lived callers (the broker) keep
         // a `ProductStore` of their own and query it directly.
-        return crate::product::synthesize_one_shot(client, repo, registry, opts, shared);
+        return crate::product::synthesize_one_shot(client, repo, registry, opts, None);
     }
     let start = Instant::now();
     wf::check(client).map_err(VerifyError::IllFormedClient)?;
-    let local;
-    let (cache, mark) = if !opts.cache {
-        (None, None)
-    } else if let Some(shared) = shared {
-        (Some(shared), Some(shared.stats()))
-    } else {
-        local = VerifyCache::new();
-        (Some(&local), None)
-    };
-    let pool = WorkPool::with_seed(opts.jobs, opts.seed);
-
-    // A run-local cache dies with this call, and a bulk run checks
-    // each enumerated plan exactly once — its plan-keyed layers could
-    // never hit, so they are only maintained for caller-owned caches.
-    let per_plan = shared.is_some();
-    let (verdicts, pruned_subtrees, prune_active) = if opts.prune {
-        synth_pruned(
-            client,
-            repo,
-            registry,
-            cache,
-            &pool,
-            opts.plan_cap,
-            per_plan,
-        )?
-    } else {
-        let comp = cache.map(|c| c.intern(client));
-        let memo = cache.map(|_| ComplianceMemo::new());
-        let plans = enumerate_plans(client, repo, opts.plan_cap)?;
-        let results = pool.run(plans.len(), |i| {
-            check_plan(
-                client,
-                comp,
-                &plans[i],
-                repo,
-                registry,
-                cache,
-                memo.as_ref(),
-                per_plan,
-            )
-        });
-        let mut verdicts = Vec::with_capacity(results.len());
-        for result in results {
-            verdicts.push(result?);
-        }
-        (verdicts, 0, false)
-    };
-
+    let bodies = opts
+        .prune
+        .then(|| prune_safe_bodies(client, repo))
+        .flatten();
+    let prune_active = bodies.is_some();
+    // A binding is cut when its request's body does not comply with the
+    // service. A projection error never cuts: full verification must
+    // surface it.
+    let (plans, pruned_subtrees) =
+        surviving_plans(client, repo, opts.plan_cap, &mut |_, r, loc| {
+            let (Some(body), Some(service)) =
+                (bodies.as_ref().and_then(|b| b.get(&r)), repo.get(loc))
+            else {
+                return false;
+            };
+            match (
+                Contract::from_service(body),
+                Contract::from_service(service),
+            ) {
+                (Ok(c), Ok(s)) => !compliant(&c, &s).holds(),
+                _ => false,
+            }
+        })?;
+    let verdicts = plans
+        .iter()
+        .map(|plan| check_plan(client, None, plan, repo, registry, None, None))
+        .collect::<Result<Vec<_>, _>>()?;
     let stats = SynthStats {
         candidates: verdicts.len(),
         pruned_subtrees,
-        jobs: pool.jobs(),
         prune_active,
-        cache: cache.map(|c| match &mark {
-            Some(mark) => c.stats().since(mark),
-            None => c.stats(),
-        }),
+        cache: None,
         engine: Engine::Enumerative,
         product: None,
         elapsed: start.elapsed(),
@@ -1096,108 +874,28 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_modes_agree_with_sequential_verify() {
+    fn pruned_reference_keeps_the_valid_set() {
         let (client, repo) = mixed_repo();
         let registry = PolicyRegistry::new();
         let baseline = verify(&client, &repo, &registry).unwrap();
-        for (jobs, cache, prune) in [
-            (1, false, false),
-            (1, true, false),
-            (4, true, false),
-            (4, false, false),
-        ] {
-            let opts = SynthesisOptions {
-                jobs,
-                cache,
-                prune,
-                ..SynthesisOptions::default()
-            };
-            let synth = synthesize(&client, &repo, &registry, &opts).unwrap();
-            assert_eq!(
-                synth.report.verdicts(),
-                baseline.verdicts(),
-                "mode (jobs={jobs}, cache={cache}, prune={prune}) diverged"
-            );
-        }
-        // Pruned modes agree on the *valid* set (rejected plans may be
-        // cut before verification).
-        for jobs in [1, 4] {
-            let opts = SynthesisOptions {
-                jobs,
-                prune: true,
-                ..SynthesisOptions::default()
-            };
-            let synth = synthesize(&client, &repo, &registry, &opts).unwrap();
-            assert!(synth.stats.prune_active);
-            assert!(synth.stats.pruned_subtrees > 0);
-            let pruned_valid: Vec<&Plan> = synth.report.valid_plans().collect();
-            let baseline_valid: Vec<&Plan> = baseline.valid_plans().collect();
-            assert_eq!(
-                pruned_valid, baseline_valid,
-                "pruned (jobs={jobs}) diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn shared_cache_with_invalidation_tracks_repo_mutations() {
-        use crate::cache::VerifyCache;
-        // A long-lived cache over a mutating repository must keep
-        // agreeing with a fresh-cache run, provided every mutation is
-        // followed by the matching invalidation — the broker's loop.
-        let (client, mut repo) = mixed_repo();
-        let registry = PolicyRegistry::new();
-        let shared = VerifyCache::new();
-        let opts = SynthesisOptions::default();
-        let first = synthesize_with(&client, &repo, &registry, &opts, Some(&shared)).unwrap();
-        assert_eq!(
-            first.report.verdicts(),
-            verify(&client, &repo, &registry).unwrap().verdicts()
-        );
-        // Retract a load-bearing service; evict its verdicts.
-        let ev = repo.retract(&Location::new("good1"));
-        assert!(ev.changed());
-        shared.invalidate_location(&Location::new("good1"));
-        let second = synthesize_with(&client, &repo, &registry, &opts, Some(&shared)).unwrap();
-        assert_eq!(
-            second.report.verdicts(),
-            verify(&client, &repo, &registry).unwrap().verdicts()
-        );
-        // Republish it (update path) and invalidate again: back to the
-        // original verdict set, still via the same cache.
-        repo.publish("good1", recv("req", choose([("ok", eps()), ("no", eps())])));
-        shared.invalidate_location(&Location::new("good1"));
-        let third = synthesize_with(&client, &repo, &registry, &opts, Some(&shared)).unwrap();
-        assert_eq!(third.report.verdicts(), first.report.verdicts());
-        // The per-call stats are deltas: the third run re-verifies only
-        // what the invalidation dropped, so it sees hits too.
-        let stats = third.stats.cache.unwrap();
-        assert!(stats.hits() > 0, "shared cache produced no hits");
-        assert!(shared.stats().evictions > 0);
-    }
-
-    #[test]
-    fn cache_hits_accumulate_across_plans() {
-        let (client, repo) = mixed_repo();
-        let registry = PolicyRegistry::new();
-        let opts = SynthesisOptions::default();
-        let shared = VerifyCache::new();
-        let synth = synthesize_with(&client, &repo, &registry, &opts, Some(&shared)).unwrap();
-        let stats = synth.stats.cache.expect("cache enabled by default");
-        // The run-level compliance memo shares witnesses across the 16
-        // candidate plans, so the cache sees each of the 2×4 bindings at
-        // most once: O(r·s) lookups, not O(r·sʳ).
-        let contract_lookups = stats.contract.0 + stats.contract.1;
+        assert_eq!(baseline.len(), 16);
+        // Pruning agrees on the *valid* set (rejected plans may be cut
+        // before verification).
+        let opts = SynthesisOptions {
+            prune: true,
+            ..SynthesisOptions::default()
+        };
+        let synth = synthesize(&client, &repo, &registry, &opts).unwrap();
+        assert!(synth.stats.prune_active);
+        assert!(synth.stats.pruned_subtrees > 0);
         assert!(
-            contract_lookups <= 16,
-            "per-candidate contract lookups are back: {contract_lookups}"
+            synth.stats.cache.is_none(),
+            "the reference memoises nothing"
         );
-        assert!(synth.stats.to_string().contains("cache"));
-        // Across runs the shared cache is the carrier: a rerun hits on
-        // every memoized validity/progress verdict.
-        let rerun = synthesize_with(&client, &repo, &registry, &opts, Some(&shared)).unwrap();
-        let stats = rerun.stats.cache.expect("cache enabled by default");
-        assert!(stats.hit_rate() > 0.5, "hit rate was {}", stats.hit_rate());
+        let pruned_valid: Vec<&Plan> = synth.report.valid_plans().collect();
+        let baseline_valid: Vec<&Plan> = baseline.valid_plans().collect();
+        assert_eq!(pruned_valid, baseline_valid);
+        assert!(synth.stats.to_string().contains("cache off"));
     }
 
     #[test]

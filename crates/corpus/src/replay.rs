@@ -19,9 +19,9 @@
 //!   verdict lists are engine-specific by design.
 //! * **Leg conformance.** `broker_plan` steps replay the same query
 //!   against a live broker (spawned lazily, one per run file, on an
-//!   ephemeral port) with both engines, and additionally require the
-//!   remote answer to be byte-identical to the last in-process `plan`
-//!   transcript for the same client.
+//!   ephemeral port), which answers from its composed product, and
+//!   require the remote answer to be byte-identical to the last
+//!   in-process `plan` transcript for the same client.
 //!
 //! Runtime steps (`run`, `broker_run`) are seeded and use committed
 //! choices, so their `BatchSummary` counters are a pure function of
@@ -702,32 +702,16 @@ fn step_broker_plan(ctx: &mut Ctx, step: &Step) -> Result<(Vec<String>, Vec<Stri
     let (name, client) = ctx.client(step)?;
     let hist = client.to_string();
     let session = ctx.broker()?;
-    let mut per_engine = Vec::new();
-    for engine in [Engine::Enumerative, Engine::Compositional] {
-        let extra = Json::obj().with("engine", engine.as_str());
-        let reply = check_reply(
-            session
-                .client
-                .plan_with(&hist, extra)
-                .map_err(|e| e.to_string())?,
-        )?;
-        let valid: Vec<String> = reply
-            .get("valid")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|p| p.as_str().map(str::to_owned))
-            .collect();
-        per_engine.push(plan_transcript(&valid));
-    }
-    let transcript = per_engine[0].clone();
+    let reply = check_reply(session.client.plan(&hist).map_err(|e| e.to_string())?)?;
+    let valid: Vec<String> = reply
+        .get("valid")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|p| p.as_str().map(str::to_owned))
+        .collect();
+    let transcript = plan_transcript(&valid);
     let mut failures = Vec::new();
-    if per_engine[0] != per_engine[1] {
-        failures.push(transcript_diff(&per_engine[0], &per_engine[1]).replace(
-            "transcript mismatch",
-            "remote engine divergence (enumerative vs compositional)",
-        ));
-    }
     if let Some(local) = ctx.plans.get(&name) {
         if *local != transcript {
             failures.push(transcript_diff(local, &transcript).replace(

@@ -491,7 +491,7 @@ impl<'a> LintContext<'a> {
                         // Splice row verdicts whose inputs are
                         // unchanged; re-verify the rest through the
                         // shared `VerifyCache`. Verdict-identical to
-                        // `synthesize_with` — pinned by the
+                        // uncached verification — pinned by the
                         // equivalence suite in
                         // `tests/lint_incremental.rs`.
                         let mut verdicts = Vec::with_capacity(plans.len());

@@ -1,8 +1,7 @@
 //! The `sufs` command-line tool: verify, lint and execute scenario files.
 //!
 //! ```text
-//! sufs verify <file> [--client NAME] [--jobs N] [--no-cache] [--prune]
-//!                    [--plan-cap N] [--seed N] [--stats] [--json]
+//! sufs verify <file> [--client NAME] [--plan-cap N] [--stats] [--json]
 //!                    [--engine enumerative|compositional]
 //! sufs run <file> [--client NAME] [--plan r=loc,...] [--monitor]
 //!                 [--committed] [--seed N] [--runs N] [--fuel N] [--trace]
@@ -11,15 +10,15 @@
 //! sufs compliance <file> <client-service> <server-service>
 //! sufs lts <file> <service> [--dot]
 //! sufs bpa <file> <service>
-//! sufs serve [--addr HOST:PORT] [--max-clients N] [--jobs N] [--prune]
-//!            [--state-dir DIR] [--snapshot-every N] [--follow HOST:PORT]
-//!            [--ack local|quorum] [--cluster-size N]
+//! sufs serve [--addr HOST:PORT] [--max-clients N] [--plan-cap N]
+//!            [--fuel N] [--state-dir DIR] [--snapshot-every N]
+//!            [--follow HOST:PORT] [--ack local|quorum] [--cluster-size N]
 //!            [--deny-lint error|warnings] [--election auto|manual]
 //!            [--election-timeout MS] [--election-seed N]
 //!            [--advertise HOST:PORT]
 //! sufs promote --addr HOST:PORT
 //! sufs publish <file> --addr HOST:PORT
-//! sufs plan <file> [--client NAME] [--engine ENGINE] --addr HOST:PORT
+//! sufs plan <file> [--client NAME] --addr HOST:PORT
 //! sufs run-remote <file> [--client NAME] [...] --addr HOST:PORT
 //! sufs retract <location> --addr HOST:PORT
 //! sufs stats --addr HOST:PORT
@@ -95,9 +94,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage:\n  \
-     sufs verify <file> [--client NAME] [--jobs N] [--no-cache] [--prune] \
-     [--plan-cap N] [--seed N] [--engine enumerative|compositional] \
-     [--stats] [--json]\n  \
+     sufs verify <file> [--client NAME] [--plan-cap N] \
+     [--engine enumerative|compositional] [--stats] [--json]\n  \
      sufs verify-net <file>\n  \
      sufs run <file> [--client NAME] [--plan r=loc,...] [--monitor] \
      [--committed] [--seed N] [--runs N] [--fuel N] [--trace|--mermaid] \
@@ -108,15 +106,14 @@ fn usage() -> String {
      sufs discover <file> <client> [--request N]\n  \
      sufs lts <file> <service> [--dot]\n  \
      sufs bpa <file> <service>\n  \
-     sufs serve [--addr HOST:PORT] [--max-clients N] [--jobs N] [--prune] \
+     sufs serve [--addr HOST:PORT] [--max-clients N] \
      [--plan-cap N] [--fuel N] [--state-dir DIR] [--snapshot-every N] \
      [--follow HOST:PORT] [--ack local|quorum] [--cluster-size N] \
      [--deny-lint error|warnings] [--election auto|manual] \
      [--election-timeout MS] [--election-seed N] [--advertise HOST:PORT]\n  \
      sufs promote --addr HOST:PORT\n  \
      sufs publish <file> --addr HOST:PORT\n  \
-     sufs plan <file> [--client NAME] [--engine enumerative|compositional] \
-     --addr HOST:PORT\n  \
+     sufs plan <file> [--client NAME] --addr HOST:PORT\n  \
      sufs run-remote <file> [--client NAME] [--plan r=loc,...] \
      [--faults k=v,...] [--recover] [--committed] [--seed N] [--fuel N] \
      --addr HOST:PORT\n  \
@@ -221,30 +218,22 @@ fn pick_client<'a>(sc: &'a Scenario, name: Option<&'a str>) -> Result<(&'a str, 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     let a = parse_args(
         args,
-        &["--client", "--jobs", "--plan-cap", "--seed", "--engine"],
-        &["--no-cache", "--prune", "--stats", "--json"],
+        &["--client", "--plan-cap", "--engine"],
+        &["--stats", "--json"],
     )?;
     let [path] = a.positional.as_slice() else {
         return Err(usage());
     };
     let sc = load(path)?;
     let mut opts = sufs_core::SynthesisOptions::default();
-    if let Some(s) = a.value("--jobs") {
-        opts.jobs = s.parse().map_err(|_| format!("bad job count `{s}`"))?;
-    }
     if let Some(s) = a.value("--plan-cap") {
         opts.plan_cap = s.parse().map_err(|_| format!("bad plan cap `{s}`"))?;
-    }
-    if let Some(s) = a.value("--seed") {
-        opts.seed = s.parse().map_err(|_| format!("bad seed `{s}`"))?;
     }
     if let Some(s) = a.value("--engine") {
         opts.engine = sufs_core::Engine::parse(s).ok_or_else(|| {
             format!("bad engine `{s}` (expected `enumerative` or `compositional`)")
         })?;
     }
-    opts.cache = !a.has("--no-cache");
-    opts.prune = a.has("--prune");
     let names: Vec<&str> = match a.value("--client") {
         Some(n) => vec![n],
         None => sc.clients.iter().map(|(n, _)| n.as_str()).collect(),
@@ -696,7 +685,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         &[
             "--addr",
             "--max-clients",
-            "--jobs",
             "--plan-cap",
             "--fuel",
             "--state-dir",
@@ -710,7 +698,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--election-seed",
             "--advertise",
         ],
-        &["--prune"],
+        &[],
     )?;
     if !a.positional.is_empty() {
         return Err(usage());
@@ -730,11 +718,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(s) = a.value("--max-clients") {
         config.max_clients = s.parse().map_err(|_| format!("bad client cap `{s}`"))?;
     }
-    if let Some(s) = a.value("--jobs") {
-        config.opts.jobs = s.parse().map_err(|_| format!("bad job count `{s}`"))?;
-    }
     if let Some(s) = a.value("--plan-cap") {
-        config.opts.plan_cap = s.parse().map_err(|_| format!("bad plan cap `{s}`"))?;
+        config.plan_cap = s.parse().map_err(|_| format!("bad plan cap `{s}`"))?;
     }
     if let Some(s) = a.value("--fuel") {
         config.fuel = s.parse().map_err(|_| format!("bad fuel `{s}`"))?;
@@ -769,7 +754,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(addr) = a.value("--advertise") {
         config.advertise = Some(addr.to_owned());
     }
-    config.opts.prune = a.has("--prune");
     let handle = Broker::spawn(config).map_err(|e| format!("cannot start broker: {e}"))?;
     println!("sufs broker listening on {}", handle.addr());
     // Serve until a `shutdown` request drains the daemon.
@@ -849,25 +833,14 @@ fn cmd_publish(args: &[String]) -> Result<(), String> {
 
 /// Asks a broker to synthesize plans for a scenario's client.
 fn cmd_plan(args: &[String]) -> Result<(), String> {
-    let a = parse_args(args, &["--addr", "--client", "--engine"], &[])?;
+    let a = parse_args(args, &["--addr", "--client"], &[])?;
     let [path] = a.positional.as_slice() else {
         return Err(usage());
     };
     let sc = load(path)?;
     let (name, hist) = pick_client(&sc, a.value("--client"))?;
-    let mut extra = Json::obj();
-    if let Some(s) = a.value("--engine") {
-        sufs_core::Engine::parse(s).ok_or_else(|| {
-            format!("bad engine `{s}` (expected `enumerative` or `compositional`)")
-        })?;
-        extra.set("engine", s);
-    }
     let mut client = remote_client(&a)?;
-    let reply = check_reply(
-        client
-            .plan_with(&hist.to_string(), extra)
-            .map_err(|e| e.to_string())?,
-    )?;
+    let reply = check_reply(client.plan(&hist.to_string()).map_err(|e| e.to_string())?)?;
     println!("== {name} (remote) ==");
     let verdicts = reply.get("verdicts").and_then(Json::as_arr).unwrap_or(&[]);
     let valid = reply.get("valid").and_then(Json::as_arr).unwrap_or(&[]);
@@ -1131,7 +1104,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         Some(s) => {
             let n: usize = s.parse().map_err(|_| format!("bad job count `{s}`"))?;
             if n == 0 {
-                sufs_core::pool::default_jobs()
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
             } else {
                 n
             }

@@ -724,6 +724,33 @@ fn retried_publish_after_dropped_reply_applies_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A duplicated request frame is applied once, and the connection it
+/// was duplicated on delivers no reply at all: a stray second reply
+/// must never be left to answer the client's next request.
+#[test]
+fn duplicated_frame_applies_once_and_its_connection_answers_nothing() {
+    let seed = (0u64..)
+        .find(|&s| fault_for(s, 0) == Fault::DuplicateThenClose && fault_for(s, 1) == Fault::None)
+        .expect("such a seed exists");
+    let dir = state_dir("dupframe");
+    let handle = Broker::spawn(durable(&dir, 100)).expect("spawn");
+    let proxy = ChaosProxy::spawn(handle.addr(), seed).expect("proxy");
+    let req = Json::obj()
+        .with("cmd", "publish")
+        .with("location", "dup")
+        .with("service", service_pool()[0].to_string().as_str())
+        .with("req_id", "dup-0001");
+    let mut first = BrokerClient::connect(proxy.addr()).expect("connect");
+    assert!(
+        first.request(&req).is_err(),
+        "a connection cut by a duplicated frame delivered a reply"
+    );
+    let mut retry = BrokerClient::connect(proxy.addr()).expect("reconnect");
+    let reply = retry.request(&req).expect("retry");
+    assert_eq!(reply.str_field("event"), Some("published dup"), "{reply}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The whole PR is opt-in: without a state directory the broker writes
 /// no files and keeps the PR-4 wire behaviour (pinned separately by
 /// the untouched `broker_e2e` suite).

@@ -5,12 +5,13 @@
 //! The centrepiece is [`broker_matches_in_process_synthesis_under_
 //! mutation`]: one hundred-plus seeded, randomized repository-mutation /
 //! plan-query interleavings against a single long-lived daemon, with
-//! every reply checked verdict-for-verdict against a fresh in-process
-//! `synthesize` over a mirror repository. A stale cache entry, a missed
-//! invalidation, or a lost mutation shows up as a verdict mismatch.
+//! every reply checked verdict-for-verdict against the in-process
+//! pruned reference (`synthesize` with `prune`) over a mirror
+//! repository. A stale cache entry, a missed invalidation, or a lost
+//! mutation shows up as a verdict mismatch.
 
 use sufs_broker::{Broker, BrokerClient, BrokerConfig, BrokerHandle, Json};
-use sufs_core::verify::verify;
+use sufs_core::{synthesize, SynthesisOptions};
 use sufs_hexpr::builder::*;
 use sufs_hexpr::{Hist, Location};
 use sufs_net::Repository;
@@ -48,9 +49,16 @@ fn service_pool() -> Vec<Hist> {
 /// triples in report order.
 type VerdictKey = Vec<(String, bool, Vec<String>)>;
 
+/// The broker answers from its composed product, whose report is the
+/// pruned reference's: the candidates surviving the compliance cut.
 fn local_verdicts(client: &Hist, repo: &Repository, registry: &PolicyRegistry) -> VerdictKey {
-    verify(client, repo, registry)
-        .expect("in-process verify succeeds")
+    let opts = SynthesisOptions {
+        prune: true,
+        ..SynthesisOptions::default()
+    };
+    synthesize(client, repo, registry, &opts)
+        .expect("in-process synthesis succeeds")
+        .report
         .verdicts()
         .iter()
         .map(|v| {
@@ -114,8 +122,8 @@ fn broker_matches_in_process_synthesis_under_mutation() {
             assert_eq!(reply.bool_field("ok"), Some(true), "step {step}: {reply}");
             mirror.retract(&Location::new(loc));
         }
-        // One query: the broker's long-lived cache must answer exactly
-        // like a fresh verification of the mirror.
+        // One query: the broker's long-lived product and cache must
+        // answer exactly like a fresh pruned synthesis of the mirror.
         let reply = client.plan(&booking.to_string()).expect("plan reply");
         let remote = remote_verdicts(&reply);
         let local = local_verdicts(&booking, &mirror, &registry);
@@ -129,6 +137,98 @@ fn broker_matches_in_process_synthesis_under_mutation() {
     let snap = stats.get("stats").expect("stats object");
     assert!(snap.u64_field("cache_hits").unwrap() > snap.u64_field("cache_misses").unwrap());
     assert!(snap.u64_field("evictions").unwrap() > 0, "no evictions?");
+    handle.join();
+}
+
+/// Publishes `n` compliant responders for the booking client: `n`
+/// surviving candidate plans.
+fn publish_compliant(client: &mut BrokerClient, n: usize) {
+    let good = service_pool()[0].to_string();
+    for i in 0..n {
+        let reply = client
+            .publish(&format!("s{i}"), &good, None)
+            .expect("publish reply");
+        assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    }
+}
+
+/// A request's `plan_cap` may lower the daemon's `--plan-cap`, never
+/// raise it: one client must not make the daemon walk an unbounded
+/// plan space under the store lock.
+#[test]
+fn request_plan_cap_lowers_but_never_raises_the_daemon_cap() {
+    let booking = booking_client().to_string();
+    let capped = |reply: &Json| {
+        reply.bool_field("ok") == Some(false)
+            && reply
+                .str_field("error")
+                .is_some_and(|e| e.contains("more than 2 candidate plans"))
+    };
+
+    let (handle, mut client) = spawn(BrokerConfig {
+        plan_cap: 2,
+        ..BrokerConfig::default()
+    });
+    publish_compliant(&mut client, 5);
+    for extra in [
+        Json::obj(),
+        Json::obj().with("plan_cap", 1_000_000u64),
+        Json::obj().with("plan_cap", u64::MAX),
+        Json::obj()
+            .with("plan_cap", 1_000_000u64)
+            .with("max_valid", 1u64),
+    ] {
+        let reply = client.plan_with(&booking, extra.clone()).expect("plan");
+        assert!(capped(&reply), "{extra} raised the cap: {reply}");
+    }
+    handle.join();
+
+    let (handle, mut client) = spawn(BrokerConfig::default());
+    publish_compliant(&mut client, 5);
+    let reply = client.plan(&booking).expect("plan");
+    assert_eq!(
+        reply.get("valid").and_then(Json::as_arr).map(<[_]>::len),
+        Some(5)
+    );
+    // Lowering works, also against the product the query above warmed.
+    for extra in [
+        Json::obj().with("plan_cap", 2u64),
+        Json::obj().with("plan_cap", 2u64).with("max_valid", 1u64),
+    ] {
+        let reply = client.plan_with(&booking, extra.clone()).expect("plan");
+        assert!(capped(&reply), "{extra} did not lower the cap: {reply}");
+    }
+    handle.join();
+}
+
+/// `plan` answers from one engine; a caller asking for another gets a
+/// `bad_request` naming the field instead of a different report shape.
+#[test]
+fn plan_rejects_any_engine_but_compositional() {
+    let (handle, mut client) = spawn(BrokerConfig::default());
+    publish_compliant(&mut client, 1);
+    let booking = booking_client().to_string();
+    for engine in [
+        Json::str("enumerative"),
+        Json::str("bogus"),
+        Json::from(1u64),
+    ] {
+        let reply = client
+            .plan_with(&booking, Json::obj().with("engine", engine.clone()))
+            .expect("plan reply");
+        assert_eq!(reply.bool_field("ok"), Some(false), "{reply}");
+        assert_eq!(reply.str_field("kind"), Some("bad_request"), "{reply}");
+        assert!(
+            reply
+                .str_field("error")
+                .is_some_and(|e| e.contains("`engine`")),
+            "{reply}"
+        );
+    }
+    let reply = client
+        .plan_with(&booking, Json::obj().with("engine", "compositional"))
+        .expect("plan reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
     handle.join();
 }
 

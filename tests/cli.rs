@@ -28,28 +28,35 @@ fn verify_reports_the_paper_plans() {
 }
 
 #[test]
-fn verify_flags_control_synthesis_modes() {
-    // The baseline output must be identical whatever the engine knobs.
-    let (baseline, _, ok) = sufs(&["verify", "scenarios/hotel.sufs", "--client", "c1"]);
-    assert!(ok);
-    for flags in [
-        &["--jobs", "2"][..],
-        &["--no-cache"][..],
-        &["--jobs", "4", "--seed", "9"][..],
+fn removed_synthesis_flags_are_rejected() {
+    // The enumerative engine is a sequential, uncached reference, and
+    // the broker answers only from the product: the old mode knobs are
+    // unknown flags now, not silently ignored ones.
+    for args in [
+        &["verify", "scenarios/hotel.sufs", "--jobs", "2"][..],
+        &["verify", "scenarios/hotel.sufs", "--no-cache"][..],
+        &["verify", "scenarios/hotel.sufs", "--seed", "9"][..],
+        &["verify", "scenarios/hotel.sufs", "--prune"][..],
+        &["serve", "--jobs", "2"][..],
+        &["serve", "--prune"][..],
+        &["plan", "scenarios/hotel.sufs", "--engine", "enumerative"][..],
     ] {
-        let mut args = vec!["verify", "scenarios/hotel.sufs", "--client", "c1"];
-        args.extend_from_slice(flags);
-        let (stdout, _, ok) = sufs(&args);
-        assert!(ok, "flags {flags:?} failed");
-        assert_eq!(stdout, baseline, "flags {flags:?} changed the report");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        let (_, stderr, ok) = sufs(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
     }
-    // Pruned mode keeps the valid plan; cut candidates may drop out.
+    // The compliance-cut report is what `--engine compositional` prints.
     let (stdout, _, ok) = sufs(&[
         "verify",
         "scenarios/hotel.sufs",
         "--client",
         "c1",
-        "--prune",
+        "--engine",
+        "compositional",
     ]);
     assert!(ok);
     assert!(stdout.contains("✓ {r1↦br, r3↦s3}"), "{stdout}");
@@ -63,22 +70,20 @@ fn verify_stats_flag_prints_instrumentation() {
         "--client",
         "c1",
         "--stats",
-        "--prune",
-        "--jobs",
-        "2",
+        "--engine",
+        "compositional",
     ]);
     assert!(ok);
     assert!(stdout.contains("synthesis:"), "{stdout}");
-    assert!(stdout.contains("2 jobs"), "{stdout}");
+    assert!(stdout.contains("subtrees pruned"), "{stdout}");
     assert!(stdout.contains("hit rate"), "{stdout}");
-    // --no-cache switches the cache (and its stats) off.
+    // The enumerative reference memoises nothing.
     let (stdout, _, ok) = sufs(&[
         "verify",
         "scenarios/hotel.sufs",
         "--client",
         "c1",
         "--stats",
-        "--no-cache",
     ]);
     assert!(ok);
     assert!(stdout.contains("cache off"), "{stdout}");

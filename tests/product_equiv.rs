@@ -1,14 +1,17 @@
 //! Seeded differential suite for the compositional synthesis engine:
 //! whatever the repository looks like, reading plans off the composed
-//! product must agree with the enumerative oracle.
+//! product must agree with the sequential enumerative reference.
 //!
-//! Three notions of agreement are asserted, matching the documented
-//! guarantees of `sufs_core::product`:
+//! Four notions of agreement are asserted, matching the documented
+//! guarantees of `sufs_core::verify` and `sufs_core::product`:
 //!
-//! * the compositional **valid plan set** equals the full enumerative
-//!   baseline's (`verify`);
+//! * the **pruned** reference's valid plan set equals the **unpruned**
+//!   reference's (`verify`) — the compliance cut only ever removes
+//!   invalid candidates;
+//! * the compositional **valid plan set** equals the unpruned
+//!   reference's;
 //! * the compositional **report** (surviving candidates + verdicts, in
-//!   order) equals the pruned enumerative report — both cut exactly
+//!   order) equals the pruned reference's report — both cut exactly
 //!   the branches a compliance witness condemns;
 //! * under a long seeded stream of `publish`/`retract` mutations, the
 //!   **incrementally patched** product stays byte-identical to a cold
@@ -30,22 +33,25 @@ fn compositional() -> SynthesisOptions {
     }
 }
 
-/// Asserts the two engines agree on `client` against this repository
-/// state: valid sets vs the full enumerative baseline, full reports vs
-/// the pruned enumerative oracle.
+fn pruned() -> SynthesisOptions {
+    SynthesisOptions {
+        prune: true,
+        ..SynthesisOptions::default()
+    }
+}
+
+/// Asserts the engines agree on `client` against this repository
+/// state: valid sets vs the unpruned reference, full reports vs the
+/// pruned reference.
 fn check_engines_agree(client: &Hist, repo: &Repository, registry: &PolicyRegistry, label: &str) {
     let baseline = verify(client, repo, registry).unwrap();
     let baseline_valid: Vec<&Plan> = baseline.valid_plans().collect();
-    let pruned = synthesize(
-        client,
-        repo,
-        registry,
-        &SynthesisOptions {
-            prune: true,
-            ..SynthesisOptions::default()
-        },
-    )
-    .unwrap();
+    let pruned = synthesize(client, repo, registry, &pruned()).unwrap();
+    assert_eq!(
+        pruned.report.valid_plans().collect::<Vec<_>>(),
+        baseline_valid,
+        "{label}: the compliance cut changed the valid plan set"
+    );
     let comp = synthesize(client, repo, registry, &compositional()).unwrap();
     assert_eq!(comp.stats.engine, Engine::Compositional, "{label}");
     assert_eq!(
@@ -98,6 +104,7 @@ fn random_scenario(seed: u64) -> (Hist, Repository, PolicyRegistry) {
         let reply = choose(chosen.into_iter().map(|l| (l, eps())));
         let resource = if r.gen_bool(0.3) { "evil" } else { "fine" };
         let body = if r.gen_bool(0.3) {
+            // A broker: answering exposes a nested request of its own.
             Hist::seq(
                 request(100 + i as u32, None, send("w", eps())),
                 seq([ev("access", [resource]), reply]),
@@ -107,6 +114,8 @@ fn random_scenario(seed: u64) -> (Hist, Repository, PolicyRegistry) {
         };
         repo.publish(format!("s{i}"), recv("q", body));
     }
+    // Leaves for the brokers' nested requests: one that answers, one
+    // that cannot.
     repo.publish("leaf", recv("w", eps()));
     repo.publish("deadleaf", recv("zz", eps()));
     (client, repo, registry)
