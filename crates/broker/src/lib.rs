@@ -7,8 +7,8 @@
 //! stuck. This crate makes that broker operational over time: a TCP
 //! daemon hosting a *dynamic* repository (services and policies are
 //! published, updated and retracted at runtime) that answers plan
-//! queries through one long-lived verification cache with incremental
-//! invalidation, executes runs with the fault-injection and plan
+//! queries from incrementally patched composed products over one
+//! long-lived cache of pure verification facts, executes runs with the fault-injection and plan
 //! failover machinery, and reports itself through a `stats` command.
 //!
 //! The wire protocol is length-prefixed JSON ([`proto`], [`json`]) —

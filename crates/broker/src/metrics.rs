@@ -31,8 +31,6 @@ pub struct Metrics {
     pub errors: AtomicU64,
     /// `publish`/`publish_policy`/`retract`/`retract_policy` mutations applied.
     pub mutations: AtomicU64,
-    /// Cache entries evicted by incremental invalidation.
-    pub evictions: AtomicU64,
     /// `plan` queries served.
     pub plans: AtomicU64,
     /// `run` requests served.
@@ -116,7 +114,6 @@ impl Metrics {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             plans: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             failed_over: AtomicU64::new(0),
@@ -268,7 +265,6 @@ impl Metrics {
             .with("requests", self.requests.load(load))
             .with("errors", self.errors.load(load))
             .with("mutations", self.mutations.load(load))
-            .with("evictions", self.evictions.load(load))
             .with("plans", self.plans.load(load))
             .with("runs", self.runs.load(load))
             .with("failed_over", self.failed_over.load(load))

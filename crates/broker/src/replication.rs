@@ -1022,15 +1022,6 @@ fn bootstrap(shared: &Shared, doc: &Json) -> io::Result<()> {
     let mut repo = shared.repo.write().expect("repo lock");
     let mut registry = shared.registry.write().expect("registry lock");
     let mut clients = shared.clients.write().expect("clients lock");
-    // Evict verdicts naming any location of the old *or* new state, and
-    // the whole registry layer: the swap invalidates both worlds.
-    for loc in repo.locations() {
-        shared.cache.invalidate_location(loc);
-    }
-    for (loc, _, _) in snap.repository.export() {
-        shared.cache.invalidate_location(loc);
-    }
-    shared.cache.invalidate_registry();
     let covered = snap.covered_seq;
     *repo = snap.repository;
     *registry = snap.registry;

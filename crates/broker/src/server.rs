@@ -3,21 +3,21 @@
 //!
 //! The broker is the paper's `Br` made operational over time: clients
 //! publish, update and retract services and policies while other
-//! clients keep asking for valid plans and executions. Synthesis runs
-//! through one long-lived [`VerifyCache`]; every mutation triggers the
-//! *incremental* invalidation that keeps the cache sound
-//! ([`VerifyCache::invalidate_location`] /
-//! [`VerifyCache::invalidate_registry`]), so a publish at `ℓ` only
-//! re-verifies plans that bind `ℓ` — everything else is answered from
-//! memo.
+//! clients keep asking for valid plans and executions. Every query is
+//! answered from the client's composed product ([`ProductStore`]),
+//! which re-validates against the current repository and registry
+//! fingerprints, so a publish at `ℓ` only re-verifies plans that bind
+//! `ℓ` — everything else is read off. Product builds and patches share
+//! one long-lived [`VerifyCache`] of pure projection and compliance
+//! facts, which no mutation can make stale: nothing is invalidated.
 //!
 //! # Concurrency model
 //!
 //! One thread per admitted connection. `plan`/`run` requests hold the
 //! repository read lock for the duration of the query, so many queries
-//! proceed in parallel; mutations take the write lock and invalidate
-//! the cache *before* releasing it, so no query can observe a mutated
-//! repository paired with stale verdicts. Admission control is
+//! proceed in parallel; mutations take the write lock, so a query sees
+//! either the whole mutation or none of it, and the product it reads
+//! is patched against exactly the state it sees. Admission control is
 //! explicit: past `max_clients` concurrent connections the broker
 //! *replies* `busy` and closes — it never silently stalls the accept
 //! queue.
@@ -284,6 +284,8 @@ pub(crate) struct Shared {
     /// Registered client behaviours (from `publish_scenario`), sorted
     /// by name — the client set repository-wide lint passes analyze.
     pub(crate) clients: RwLock<Vec<(String, Hist)>>,
+    /// Projection and compliance facts shared by every product build;
+    /// pure, so never invalidated.
     pub(crate) cache: VerifyCache,
     /// Composed products, one per distinct client behaviour: the only
     /// synthesis engine behind `plan` and `run`. Fingerprint-validated
@@ -544,9 +546,9 @@ fn replay_journal(shared: &Shared, plan: RecoveryPlan) {
         // commands are upserts/deletes, so re-application is exact.
         let _ = handle_request_from(&record.request, shared, Source::Replay);
         if let Some(id) = record.request.str_field("req_id") {
-            // The *recorded* reply wins over the recomputed one: its
-            // cache-eviction counts reflect what the client was
-            // actually told, and a retry must see exactly that.
+            // The *recorded* reply wins over the recomputed one: it is
+            // what the client was actually told, and a retry must see
+            // exactly that.
             d.dedup
                 .lock()
                 .expect("dedup lock")
@@ -556,7 +558,6 @@ fn replay_journal(shared: &Shared, plan: RecoveryPlan) {
     // Counters accumulated during replay would misreport the daemon's
     // live traffic; recovery has its own metrics.
     shared.metrics.mutations.store(0, Ordering::Relaxed);
-    shared.metrics.evictions.store(0, Ordering::Relaxed);
     shared
         .metrics
         .replayed_records
@@ -988,23 +989,14 @@ fn cmd_publish(request: &Json, shared: &Shared, source: Source) -> Json {
     };
     match result {
         Ok(event) => {
-            let touched = event.location().clone();
-            let evicted = shared.cache.invalidate_location(&touched);
             if let (Some(gate), Some((registry, clients))) = (&gate, &gate_locks) {
                 if let Err(reply) = crate::lint::check(shared, gate, &repo, registry, clients) {
                     *repo = saved.expect("saved state when gating");
-                    shared.cache.invalidate_location(&touched);
                     return reply;
                 }
             }
             shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-            let reply = proto::ok()
-                .with("event", event.to_string())
-                .with("evicted", evicted);
+            let reply = proto::ok().with("event", event.to_string());
             finish_mutation(shared, request, reply, true, source)
         }
         Err(e) => proto::error("ill_formed", e.to_string()),
@@ -1044,25 +1036,20 @@ fn cmd_publish_scenario(request: &Json, shared: &Shared, source: Source) -> Json
     let saved = gate
         .as_ref()
         .map(|_| (repo.clone(), registry.clone(), clients.clone()));
-    let mut evicted = 0;
     let mut services = 0u64;
     for (loc, service) in scenario.repository.iter() {
         // The scenario parser already ran the well-formedness check.
-        let event = match scenario.repository.capacity(loc).flatten() {
+        match scenario.repository.capacity(loc).flatten() {
             Some(cap) => repo.try_publish_bounded(loc.clone(), service.clone(), cap),
             None => repo.try_publish(loc.clone(), service.clone()),
         }
         .expect("scenario services are well-formed");
-        evicted += shared.cache.invalidate_location(event.location());
         services += 1;
     }
     let mut policies = 0u64;
     for automaton in scenario.registry.iter() {
         registry.register(automaton.clone());
         policies += 1;
-    }
-    if policies > 0 {
-        evicted += shared.cache.invalidate_registry();
     }
     // Scenario clients join the broker's registered client set (upsert
     // by name, kept sorted) — the population the repository-wide lint
@@ -1083,26 +1070,15 @@ fn cmd_publish_scenario(request: &Json, shared: &Shared, source: Source) -> Json
                 *repo = r;
                 *registry = g;
                 *clients = c;
-                for loc in scenario.repository.locations() {
-                    shared.cache.invalidate_location(loc);
-                }
-                if policies > 0 {
-                    shared.cache.invalidate_registry();
-                }
                 return reply;
             }
         }
         shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
     }
     let reply = proto::ok()
         .with("services", services)
         .with("policies", policies)
-        .with("clients", client_count)
-        .with("evicted", evicted);
+        .with("clients", client_count);
     finish_mutation(shared, request, reply, changed, source)
 }
 
@@ -1134,25 +1110,18 @@ fn cmd_retract(request: &Json, shared: &Shared, source: Source) -> Json {
     };
     let saved = gate.as_ref().map(|_| repo.clone());
     let event = repo.retract(&location);
-    let evicted = if event.changed() {
-        let n = shared.cache.invalidate_location(&location);
+    if event.changed() {
         if let (Some(gate), Some((registry, clients))) = (&gate, &gate_locks) {
             if let Err(reply) = crate::lint::check(shared, gate, &repo, registry, clients) {
                 *repo = saved.expect("saved state when gating");
-                shared.cache.invalidate_location(&location);
                 return reply;
             }
         }
         shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.evictions.fetch_add(n, Ordering::Relaxed);
-        n
-    } else {
-        0
-    };
+    }
     let reply = proto::ok()
         .with("event", event.to_string())
-        .with("changed", event.changed())
-        .with("evicted", evicted);
+        .with("changed", event.changed());
     finish_mutation(shared, request, reply, event.changed(), source)
 }
 
@@ -1188,24 +1157,16 @@ fn cmd_retract_policy(request: &Json, shared: &Shared, source: Source) -> Json {
     };
     let saved = gate.as_ref().and_then(|_| registry.get(name).cloned());
     let removed = registry.remove(name).is_some();
-    let evicted = if removed {
-        let n = shared.cache.invalidate_registry();
+    if removed {
         if let (Some(gate), Some(repo), Some(clients)) = (&gate, &gate_repo, &gate_clients) {
             if let Err(reply) = crate::lint::check(shared, gate, repo, &registry, clients) {
                 registry.register(saved.expect("removed policy was fetched before removal"));
-                shared.cache.invalidate_registry();
                 return reply;
             }
         }
         shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.evictions.fetch_add(n, Ordering::Relaxed);
-        n
-    } else {
-        0
-    };
-    let reply = proto::ok()
-        .with("changed", removed)
-        .with("evicted", evicted);
+    }
+    let reply = proto::ok().with("changed", removed);
     finish_mutation(shared, request, reply, removed, source)
 }
 
@@ -1381,8 +1342,7 @@ pub fn synth_stats_json(stats: &sufs_core::SynthStats) -> Json {
             "cache",
             Json::obj()
                 .with("hits", cache.hits())
-                .with("misses", cache.misses())
-                .with("evictions", cache.evictions),
+                .with("misses", cache.misses()),
         );
     }
     stats_json

@@ -49,7 +49,7 @@ pub mod report;
 pub mod scenario;
 pub mod verify;
 
-pub use cache::{CacheStats, CompositionId, VerifyCache};
+pub use cache::{CacheStats, VerifyCache};
 pub use discover::{discover, discover_matches, DiscoveryCandidate};
 pub use multi::{find_joint_deadlock, verify_network, ClientSpec, JointDeadlock, NetworkReport};
 pub use plans::{composed_requests, enumerate_plans, PlanSpaceExceeded};

@@ -31,12 +31,14 @@
 //! `retract_policy`, only the regions whose fingerprints changed are
 //! recomputed — edges touching changed locations, plus the verdicts of
 //! surviving plans that bind a changed location. Verdicts of plans
-//! whose bound locations are untouched are *reused* (sound for the same
-//! reason [`VerifyCache::invalidate_location`] is selective: security
-//! and progress consult the repository only at the locations a plan
-//! binds). A patched product is byte-identical to a cold rebuild: both
-//! paths run the same deterministic checks over the same inputs and
-//! store results in plan-sorted maps.
+//! whose bound locations are untouched are *reused*: security and
+//! progress consult the repository only at the locations a plan binds.
+//! The product's verdict map is the only per-plan memo on this path;
+//! the shared [`VerifyCache`] holds only pure, content-keyed facts, so
+//! no mutation ever has to invalidate anything. A patched product is
+//! byte-identical to a cold rebuild: both paths run the same
+//! deterministic checks over the same inputs and store results in
+//! plan-sorted maps.
 //!
 //! # Equivalence with the enumerative reference
 //!
@@ -65,8 +67,8 @@ use crate::cache::VerifyCache;
 use crate::plans::{self, PlanSpaceExceeded};
 use crate::report::VerifyReport;
 use crate::verify::{
-    check_plan, prune_safe_bodies, ComplianceMemo, Engine, PlanVerdict, SynthStats, Synthesis,
-    SynthesisOptions, VerifyError,
+    check_plan, prune_safe_bodies, Engine, PlanVerdict, SynthStats, Synthesis, SynthesisOptions,
+    VerifyError,
 };
 
 /// Per-query product instrumentation, surfaced in
@@ -209,19 +211,9 @@ fn build_product(
         None => BTreeMap::new(),
     };
     let (surviving, pruned_subtrees) = surviving_plans(client, repo, &edges, cap)?;
-    let comp = Some(cache.intern(client));
-    let memo = ComplianceMemo::new();
     let mut verdicts = BTreeMap::new();
     for plan in surviving {
-        let verdict = check_plan(
-            client,
-            comp,
-            &plan,
-            repo,
-            registry,
-            Some(cache),
-            Some(&memo),
-        )?;
+        let verdict = check_plan(client, &plan, repo, registry, Some(cache))?;
         verdicts.insert(plan, verdict);
     }
     Ok(Product {
@@ -309,22 +301,12 @@ fn patch_product(
     }
 
     let (surviving, pruned_subtrees) = surviving_plans(client, repo, &product.edges, cap)?;
-    let comp = Some(cache.intern(client));
-    let memo = ComplianceMemo::new();
     let mut verdicts = BTreeMap::new();
     for plan in surviving {
         let untouched = !registry_changed && !plan.iter().any(|(_, loc)| changed.contains(loc));
         let verdict = match product.verdicts.get(&plan) {
             Some(v) if untouched => v.clone(),
-            _ => check_plan(
-                client,
-                comp,
-                &plan,
-                repo,
-                registry,
-                Some(cache),
-                Some(&memo),
-            )?,
+            _ => check_plan(client, &plan, repo, registry, Some(cache))?,
         };
         verdicts.insert(plan, verdict);
     }
@@ -355,12 +337,10 @@ pub const DEFAULT_STORE_CAPACITY: usize = 64;
 /// duration of any build/patch it triggers, so concurrent queries for
 /// the same repository state serialise on the structure they share —
 /// by design, since the second query then reads off the first one's
-/// work. When used with a shared [`VerifyCache`], the caller keeps the
-/// cache sound by invalidating it on every repository mutation
-/// ([`VerifyCache::invalidate_location`]) and registry mutation
-/// ([`VerifyCache::invalidate_registry`]); the product
-/// itself needs no invalidation calls — it re-validates against the
-/// current fingerprints on every query.
+/// work. Nothing here needs an invalidation call: each product
+/// re-validates against the current repository and registry
+/// fingerprints on every query, and a shared [`VerifyCache`] holds
+/// only pure, content-keyed facts.
 #[derive(Debug)]
 pub struct ProductStore {
     entries: Mutex<Vec<Entry>>,

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheStats, CompositionId, VerifyCache};
+use crate::cache::{CacheStats, VerifyCache};
 use crate::plans::{composed_requests, surviving_plans, PlanSpaceExceeded, DEFAULT_PLAN_CAP};
 use crate::product::ProductInfo;
 use crate::report::VerifyReport;
@@ -213,67 +213,15 @@ fn witness_of(
     }
 }
 
-/// A per-run memo of compliance witnesses keyed by `(request,
-/// location)`. Within one synthesis run a request's body and a
-/// location's service are fixed, so the witness for a binding can be
-/// computed once and shared by every candidate plan that repeats it —
-/// an `O(1)` integer-and-location lookup per binding instead of
-/// re-hashing the full histories and contracts per candidate, which at
-/// small contract sizes costs as much as recomputing the product.
-///
-/// Keying by request *id* matches the semantics the rest of the
-/// pipeline already commits to: [`Plan`] binds ids to locations and
-/// [`composed_requests`] deduplicates by id, so a run never attributes
-/// two bodies to one id. Deliberately run-scoped (never stored in the
-/// long-lived [`VerifyCache`]): an entry's validity depends on the body
-/// of a possibly *brokered* request, which lives at a different
-/// location than the one in the key, so location-keyed invalidation
-/// could not evict it soundly across repository mutations.
-pub(crate) struct ComplianceMemo {
-    map: std::sync::Mutex<HashMap<(RequestId, Location), Option<StuckWitness>>>,
-}
-
-impl ComplianceMemo {
-    pub(crate) fn new() -> Self {
-        ComplianceMemo {
-            map: std::sync::Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The memoized witness for `key`, computing it (outside the lock)
-    /// on first sight.
-    fn witness<F>(
-        &self,
-        key: (RequestId, Location),
-        compute: F,
-    ) -> Result<Option<StuckWitness>, VerifyError>
-    where
-        F: FnOnce() -> Result<Option<StuckWitness>, VerifyError>,
-    {
-        if let Some(w) = self.map.lock().unwrap().get(&key) {
-            return Ok(w.clone());
-        }
-        let w = compute()?;
-        self.map.lock().unwrap().insert(key, w.clone());
-        Ok(w)
-    }
-}
-
-/// The three per-plan checks, optionally served from `cache`. The
-/// caller is responsible for the (per-client, not per-plan)
-/// well-formedness check. `comp` is the composition interned once per
-/// run (hot loops pass it so the deep client expression is never
-/// re-hashed per candidate), `memo` the run's compliance memo (same
-/// idea, for the pairwise witnesses); one-shot callers and the
-/// reference pass `None`.
+/// The three per-plan checks, with projection and pairwise compliance
+/// optionally served from `cache`. The caller is responsible for the
+/// (per-client, not per-plan) well-formedness check.
 pub(crate) fn check_plan(
     client: &Hist,
-    comp: Option<CompositionId>,
     plan: &Plan,
     repo: &Repository,
     registry: &PolicyRegistry,
     cache: Option<&VerifyCache>,
-    memo: Option<&ComplianceMemo>,
 ) -> Result<PlanVerdict, VerifyError> {
     let mut violations = Vec::new();
 
@@ -291,16 +239,9 @@ pub(crate) fn check_plan(
             });
             continue;
         };
-        let pair = || -> Result<Option<StuckWitness>, VerifyError> {
-            let client_side = contract_of(cache, &info.body)?;
-            let server_side = contract_of(cache, service)?;
-            Ok(witness_of(cache, &client_side, &server_side))
-        };
-        let witness = match memo {
-            Some(m) => m.witness((info.id, service_loc.clone()), pair)?,
-            None => pair()?,
-        };
-        if let Some(witness) = witness {
+        let client_side = contract_of(cache, &info.body)?;
+        let server_side = contract_of(cache, service)?;
+        if let Some(witness) = witness_of(cache, &client_side, &server_side) {
             violations.push(Violation::NonCompliant {
                 request: info.id,
                 service: service_loc,
@@ -310,31 +251,18 @@ pub(crate) fn check_plan(
     }
 
     // 2. Security: model-check the symbolic state space.
-    let run_validity = || {
-        check_validity(
-            SymState::initial("client", client.clone()),
-            |s| symbolic_successors(s, plan, repo),
-            registry,
-            DEFAULT_STATE_BOUND,
-        )
-    };
-    let verdict = match (cache, comp) {
-        (Some(c), Some(id)) => c.validity_interned(id, plan, run_validity)?,
-        (Some(c), None) => c.validity(client, plan, run_validity)?,
-        (None, _) => run_validity()?,
-    };
+    let verdict = check_validity(
+        SymState::initial("client", client.clone()),
+        |s| symbolic_successors(s, plan, repo),
+        registry,
+        DEFAULT_STATE_BOUND,
+    )?;
     if let Verdict::Violation(v) = verdict {
         violations.push(Violation::Security(v));
     }
 
     // 3. Progress: no reachable stuck configuration.
-    let run_progress = || find_stuck("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND);
-    let progress = match (cache, comp) {
-        (Some(c), Some(id)) => c.progress_interned(id, plan, run_progress),
-        (Some(c), None) => c.progress(client, plan, run_progress),
-        (None, _) => run_progress(),
-    };
-    match progress {
+    match find_stuck("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND) {
         Ok(Some(stuck)) => {
             // Missing bindings already reported more precisely.
             let already = violations.iter().any(Violation::is_binding_failure);
@@ -385,7 +313,7 @@ pub fn verify_plan_with(
     cache: Option<&VerifyCache>,
 ) -> Result<PlanVerdict, VerifyError> {
     wf::check(client).map_err(VerifyError::IllFormedClient)?;
-    check_plan(client, None, plan, repo, registry, cache, None)
+    check_plan(client, plan, repo, registry, cache)
 }
 
 /// Which synthesis engine answers a query.
@@ -572,7 +500,7 @@ pub fn synthesize(
         })?;
     let verdicts = plans
         .iter()
-        .map(|plan| check_plan(client, None, plan, repo, registry, None, None))
+        .map(|plan| check_plan(client, plan, repo, registry, None))
         .collect::<Result<Vec<_>, _>>()?;
     let stats = SynthStats {
         candidates: verdicts.len(),

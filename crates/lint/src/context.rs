@@ -9,16 +9,15 @@
 //! builds can share an [`AnalysisCaches`], which memoizes the expensive
 //! sub-analyses (stand-alone LTSs, candidate plan spaces, whole
 //! per-plan verdicts backed by a [`VerifyCache`], composed-execution
-//! reachability) keyed by `sufs-hexpr::shash` structural fingerprints,
-//! so re-analyzing a repository after a single mutation only pays for
-//! what changed.
+//! reachability) keyed by `sufs-hexpr::shash` structural fingerprints
+//! of everything they read, so no entry can go stale and re-analyzing a
+//! repository after a single mutation only pays for what changed.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use sufs_core::cache::VerifyCache;
-use sufs_core::plans::{PlanSpaceExceeded, DEFAULT_PLAN_CAP};
-use sufs_core::product::ProductStore;
+use sufs_core::plans::{enumerate_plans, PlanSpaceExceeded, DEFAULT_PLAN_CAP};
 use sufs_core::report::VerifyReport;
 use sufs_core::scenario::{Scenario, SpanTable, SrcPos};
 use sufs_core::verify::{verify_plan_with, PlanVerdict, DEFAULT_STATE_BOUND};
@@ -80,20 +79,15 @@ impl<'a> From<&'a Scenario> for LintInput<'a> {
     }
 }
 
-/// Memoized sub-analyses shared across context builds, keyed by
-/// structural fingerprints so stale entries can never be confused with
-/// live ones. The [`VerifyCache`] is location-addressed and must be
-/// invalidated on mutation (the [`crate::engine::LintEngine`] does);
-/// the LTS and reachability maps are content-addressed and never go
-/// stale.
+/// Memoized sub-analyses shared across context builds. Every map is
+/// content-addressed — keyed by structural fingerprints of everything
+/// its entries read — and the [`VerifyCache`] holds only pure
+/// projection and compliance facts, so nothing ever needs
+/// invalidating on mutation.
 #[derive(Debug, Default)]
 pub struct AnalysisCaches {
-    /// Shared projection/compliance/validity memo for plan verification.
+    /// Shared projection/compliance memo for plan verification.
     pub verify: VerifyCache,
-    /// Composed-product store the plan-space enumeration reads through:
-    /// lint and synthesis walk the same pruned product machinery, so an
-    /// engine divergence would surface here as a lint regression.
-    pub products: ProductStore,
     /// Stand-alone LTSs keyed by `(hist fingerprint, bound)`.
     lts: HashMap<(u64, usize), Arc<HistLts>>,
     /// Per-behaviour ground events keyed by behaviour fingerprint.
@@ -112,10 +106,8 @@ pub struct AnalysisCaches {
     exposed: HashMap<u64, u64>,
     /// Per-plan verdicts keyed by a fingerprint of `(client, plan,
     /// registry, bound locations' behaviours and capacities)` — i.e.
-    /// everything the verdict reads. Content-addressed, so unlike the
-    /// location-addressed [`VerifyCache`] it needs no invalidation, and
-    /// a mutation that reshapes the plan space still splices the
-    /// verdict of every plan it did not touch.
+    /// everything the verdict reads. A mutation that reshapes the plan
+    /// space still splices the verdict of every plan it did not touch.
     verdict_rows: HashMap<u64, PlanVerdict>,
     /// Whole per-client reports keyed by a fingerprint of `(plan
     /// space, every row's dependency state)`: a re-lint of a
@@ -144,7 +136,7 @@ struct PlanMeta {
 
 impl AnalysisCaches {
     /// Drops the content-addressed maps if they have grown past
-    /// `limit` entries (the verify cache has its own invalidation).
+    /// `limit` entries (the verify cache is left alone).
     pub fn trim(&mut self, limit: usize) {
         if self.lts.len() > limit {
             self.lts.clear();
@@ -198,8 +190,7 @@ impl AnalysisCaches {
         )
     }
 
-    /// Memoized plan-space enumeration, read through the composed
-    /// [`ProductStore`]. The plan space is a function of
+    /// Memoized plan-space enumeration. The plan space is a function of
     /// the client's requests and of the requests each published
     /// service exposes ([`sufs_core::plans`] closes bindings over
     /// those), so the key folds the per-location exposed-request
@@ -232,7 +223,7 @@ impl AnalysisCaches {
         if let Some(space) = self.plans.get(&pkey) {
             return Ok((pkey, space.clone()));
         }
-        let plans = Arc::new(self.products.plan_space(client, repo, cap)?);
+        let plans = Arc::new(enumerate_plans(client, repo, cap)?);
         let meta = Arc::new(
             plans
                 .iter()

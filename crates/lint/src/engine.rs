@@ -7,11 +7,11 @@
 //! keys on): each client behaviour, each published service behaviour,
 //! each capacity annotation, each policy automaton, and the budget
 //! list. A [`refresh`](LintEngine::refresh) diffs the fingerprints
-//! against the previous state, invalidates the location-addressed
-//! verify cache for exactly the touched locations, rebuilds the
-//! [`LintContext`] through the shared [`AnalysisCaches`] (stand-alone
-//! LTSs, per-plan verification and composed reachability all become
-//! lookups for unchanged components), and then walks the passes: a
+//! against the previous state, rebuilds the [`LintContext`] through the
+//! shared [`AnalysisCaches`] (stand-alone LTSs, per-plan verification
+//! and composed reachability all become lookups for unchanged
+//! components; every cache is content-addressed, so none needs
+//! invalidating), and then walks the passes: a
 //! pass none of whose [`Dep`](crate::passes::Dep) kinds changed gets
 //! its previous diagnostics spliced back verbatim; the rest re-run.
 //! The result is equal to a cold full re-lint — enforced by the seeded
@@ -170,33 +170,6 @@ impl LintEngine {
             });
         }
 
-        // The verify cache is location-addressed: evict exactly the
-        // locations whose behaviour or capacity changed (the same
-        // discipline the broker applies on mutation).
-        if let Some(prev) = &self.state {
-            if changed.contains(&Dep::Policies) || changed.contains(&Dep::Budgets) {
-                self.caches.verify.invalidate_registry();
-            }
-            let mut touched: BTreeSet<&Location> = BTreeSet::new();
-            for (map, prev_map) in [
-                (&fp.services, &prev.services),
-                (&fp.capacities, &prev.capacities),
-            ] {
-                for (loc, h) in map {
-                    if prev_map.get(loc) != Some(h) {
-                        touched.insert(loc);
-                    }
-                }
-                for loc in prev_map.keys() {
-                    if !map.contains_key(loc) {
-                        touched.insert(loc);
-                    }
-                }
-            }
-            for loc in touched {
-                self.caches.verify.invalidate_location(loc);
-            }
-        }
         self.caches.trim(CACHE_TRIM);
 
         let ctx = LintContext::build_cached(input, self.bound, self.plan_cap, &mut self.caches)?;

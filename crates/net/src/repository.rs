@@ -36,8 +36,8 @@ struct Published {
 }
 
 /// A repository mutation, as observed by callers that need to react to
-/// the repository changing under them (the broker's incremental cache
-/// invalidation, most prominently). Every mutating [`Repository`]
+/// the repository changing under them (the broker's mutation replies
+/// and journal, most prominently). Every mutating [`Repository`]
 /// method returns the event it caused, so a host can forward it to
 /// whatever bookkeeping depends on the touched location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,16 +53,6 @@ pub enum RepoEvent {
 }
 
 impl RepoEvent {
-    /// The location the event touches.
-    pub fn location(&self) -> &Location {
-        match self {
-            RepoEvent::Published(l)
-            | RepoEvent::Updated(l)
-            | RepoEvent::Retracted(l)
-            | RepoEvent::Absent(l) => l,
-        }
-    }
-
     /// Returns `true` when the event changed the repository at all.
     pub fn changed(&self) -> bool {
         !matches!(self, RepoEvent::Absent(_))
@@ -319,7 +309,6 @@ mod tests {
             .try_publish("s", parse_hist("ext[a -> eps]").unwrap())
             .unwrap();
         assert_eq!(ev, RepoEvent::Updated(Location::new("s")));
-        assert_eq!(ev.location(), &Location::new("s"));
         let ev = repo.retract(&Location::new("s"));
         assert_eq!(ev, RepoEvent::Retracted(Location::new("s")));
         assert!(repo.is_empty());

@@ -823,10 +823,9 @@ fn cmd_publish(args: &[String]) -> Result<(), String> {
     let mut client = remote_client(&a)?;
     let reply = check_reply(client.publish_scenario(&text).map_err(|e| e.to_string())?)?;
     println!(
-        "published {} service(s), {} policy(ies) ({} cache entries evicted)",
+        "published {} service(s), {} policy(ies)",
         reply.u64_field("services").unwrap_or(0),
         reply.u64_field("policies").unwrap_or(0),
-        reply.u64_field("evicted").unwrap_or(0),
     );
     Ok(())
 }
@@ -932,11 +931,7 @@ fn cmd_retract(args: &[String]) -> Result<(), String> {
     };
     let mut client = remote_client(&a)?;
     let reply = check_reply(client.retract(location).map_err(|e| e.to_string())?)?;
-    println!(
-        "{} ({} cache entries evicted)",
-        reply.str_field("event").unwrap_or("?"),
-        reply.u64_field("evicted").unwrap_or(0),
-    );
+    println!("{}", reply.str_field("event").unwrap_or("?"));
     Ok(())
 }
 

@@ -19,7 +19,7 @@
 
 use sufs_core::product::synthesize_one_shot;
 use sufs_core::scenario::parse_scenario;
-use sufs_core::{synthesize, verify, Engine, ProductStore, SynthesisOptions};
+use sufs_core::{synthesize, verify, Engine, ProductStore, Synthesis, SynthesisOptions};
 use sufs_hexpr::builder::*;
 use sufs_hexpr::{Hist, Location, ParamValue, PolicyRef};
 use sufs_net::{Plan, Repository};
@@ -42,8 +42,13 @@ fn pruned() -> SynthesisOptions {
 
 /// Asserts the engines agree on `client` against this repository
 /// state: valid sets vs the unpruned reference, full reports vs the
-/// pruned reference.
-fn check_engines_agree(client: &Hist, repo: &Repository, registry: &PolicyRegistry, label: &str) {
+/// pruned reference. Returns the compositional answer.
+fn check_engines_agree(
+    client: &Hist,
+    repo: &Repository,
+    registry: &PolicyRegistry,
+    label: &str,
+) -> Synthesis {
     let baseline = verify(client, repo, registry).unwrap();
     let baseline_valid: Vec<&Plan> = baseline.valid_plans().collect();
     let pruned = synthesize(client, repo, registry, &pruned()).unwrap();
@@ -64,6 +69,7 @@ fn check_engines_agree(client: &Hist, repo: &Repository, registry: &PolicyRegist
         pruned.report.verdicts(),
         "{label}: the compositional report diverges from the pruned oracle"
     );
+    comp
 }
 
 /// A random synthesis scenario: a client of 1–3 request/response
@@ -99,14 +105,31 @@ fn random_scenario(seed: u64) -> (Hist, Repository, PolicyRegistry) {
 
     let mut repo = Repository::new();
     let n_services = r.gen_range(2usize..=4);
+    // Some seeds let every broker share one nested request id, each
+    // with its own body: the case where a request id alone no longer
+    // names a body and compliance pruning switches itself off.
+    let shared_id = r.gen_bool(0.4);
     for i in 0..n_services {
         let chosen = subset(&mut r, 3);
         let reply = choose(chosen.into_iter().map(|l| (l, eps())));
         let resource = if r.gen_bool(0.3) { "evil" } else { "fine" };
-        let body = if r.gen_bool(0.3) {
+        let body = if r.gen_bool(if shared_id { 0.7 } else { 0.3 }) {
             // A broker: answering exposes a nested request of its own.
+            let (id, nested) = if shared_id {
+                // Alternate the accepted replies so two brokers differ.
+                let expected = &replies[..1 + i % 2];
+                (
+                    100,
+                    seq([
+                        send("w", eps()),
+                        offer(expected.iter().map(|l| (*l, eps()))),
+                    ]),
+                )
+            } else {
+                (100 + i as u32, send("w", eps()))
+            };
             Hist::seq(
-                request(100 + i as u32, None, send("w", eps())),
+                request(id, None, nested),
                 seq([ev("access", [resource]), reply]),
             )
         } else {
@@ -115,18 +138,51 @@ fn random_scenario(seed: u64) -> (Hist, Repository, PolicyRegistry) {
         repo.publish(format!("s{i}"), recv("q", body));
     }
     // Leaves for the brokers' nested requests: one that answers, one
-    // that cannot.
+    // that cannot, and (for shared ids) one whose reply only some of
+    // the bodies accept.
     repo.publish("leaf", recv("w", eps()));
     repo.publish("deadleaf", recv("zz", eps()));
+    if shared_id {
+        repo.publish("picky", recv("w", choose([("ok", eps()), ("no", eps())])));
+    }
     (client, repo, registry)
 }
 
 #[test]
 fn compositional_matches_enumerative_on_random_scenarios() {
+    let mut ambiguous = 0;
     for seed in 0..15u64 {
         let (client, repo, registry) = random_scenario(seed);
-        check_engines_agree(&client, &repo, &registry, &format!("seed {seed}"));
+        let comp = check_engines_agree(&client, &repo, &registry, &format!("seed {seed}"));
+        ambiguous += usize::from(!comp.stats.prune_active);
     }
+    assert!(
+        ambiguous > 0,
+        "no seed exposed one request id with two bodies"
+    );
+}
+
+/// Two brokers expose the same nested request id `r3` with different
+/// bodies: `a_br` accepts `a` or `b` from its leaf, `b_br` only `a`.
+/// The leaf may answer `b`, so `{r1↦b_br, r3↦leaf}` is non-compliant
+/// even though `{r1↦a_br, r3↦leaf}` is valid. A verdict memo keyed by
+/// `(request id, location)` would carry the second plan's verdict over
+/// to the first.
+#[test]
+fn ambiguous_nested_request_bodies_are_checked_per_plan() {
+    let client = request(1, None, send("q", eps()));
+    let mut repo = Repository::new();
+    repo.publish(
+        "a_br",
+        recv("q", request(3, None, offer([("a", eps()), ("b", eps())]))),
+    );
+    repo.publish("b_br", recv("q", request(3, None, offer([("a", eps())]))));
+    repo.publish("leaf", choose([("a", eps()), ("b", eps())]));
+    let registry = PolicyRegistry::new();
+    let comp = check_engines_agree(&client, &repo, &registry, "ambiguous bodies");
+    assert!(!comp.stats.prune_active);
+    let valid: Vec<String> = comp.report.valid_plans().map(Plan::to_string).collect();
+    assert_eq!(valid, ["{r1↦a_br, r3↦leaf}"]);
 }
 
 #[test]
