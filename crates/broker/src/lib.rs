@@ -7,9 +7,10 @@
 //! stuck. This crate makes that broker operational over time: a TCP
 //! daemon hosting a *dynamic* repository (services and policies are
 //! published, updated and retracted at runtime) that answers plan
-//! queries from incrementally patched composed products over one
-//! long-lived cache of pure verification facts, executes runs with the fault-injection and plan
-//! failover machinery, and reports itself through a `stats` command.
+//! queries from composed products re-derived through one long-lived,
+//! content-keyed verification cache that the lint gate shares, executes
+//! runs with the fault-injection and plan failover machinery, and
+//! reports itself through a `stats` command.
 //!
 //! The wire protocol is length-prefixed JSON ([`proto`], [`json`]) —
 //! hand-rolled, because the workspace builds offline with no external

@@ -1,7 +1,10 @@
 //! Live repository analysis: the `lint` command and the opt-in
 //! `--deny-lint` mutation gate.
 //!
-//! The broker hosts one [`LintEngine`] behind a mutex. A `lint` request
+//! The broker hosts one [`LintEngine`](sufs_lint::LintEngine) behind a
+//! mutex; its verdict rows live in the broker's shared `VerifyCache`, so
+//! every plan verdict the gate computes is a hit for the next `plan`
+//! read of the composed products. A `lint` request
 //! refreshes it against the current repository, registry and client
 //! set and returns the full report (human rendering plus the same
 //! structured JSON `sufs lint --json` emits) together with the

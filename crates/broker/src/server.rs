@@ -7,9 +7,11 @@
 //! answered from the client's composed product ([`ProductStore`]),
 //! which re-validates against the current repository and registry
 //! fingerprints, so a publish at `ℓ` only re-verifies plans that bind
-//! `ℓ` — everything else is read off. Product builds and patches share
-//! one long-lived [`VerifyCache`] of pure projection and compliance
-//! facts, which no mutation can make stale: nothing is invalidated.
+//! `ℓ` — every other verdict is carried over. Product builds and the lint
+//! engine share one long-lived [`VerifyCache`] of projection,
+//! compliance and plan-verdict rows keyed by content, which no
+//! mutation can make stale: nothing is invalidated, and a verdict the
+//! `--deny-lint` gate computed is not computed again by the next read.
 //!
 //! # Concurrency model
 //!
@@ -17,7 +19,7 @@
 //! repository read lock for the duration of the query, so many queries
 //! proceed in parallel; mutations take the write lock, so a query sees
 //! either the whole mutation or none of it, and the product it reads
-//! is patched against exactly the state it sees. Admission control is
+//! is re-derived against exactly the state it sees. Admission control is
 //! explicit: past `max_clients` concurrent connections the broker
 //! *replies* `busy` and closes — it never silently stalls the accept
 //! queue.
@@ -284,9 +286,10 @@ pub(crate) struct Shared {
     /// Registered client behaviours (from `publish_scenario`), sorted
     /// by name — the client set repository-wide lint passes analyze.
     pub(crate) clients: RwLock<Vec<(String, Hist)>>,
-    /// Projection and compliance facts shared by every product build;
-    /// pure, so never invalidated.
-    pub(crate) cache: VerifyCache,
+    /// Projection, compliance and plan-verdict rows shared by every
+    /// product build and by the lint engine; keyed by content, so never
+    /// invalidated.
+    pub(crate) cache: Arc<VerifyCache>,
     /// Composed products, one per distinct client behaviour: the only
     /// synthesis engine behind `plan` and `run`. Fingerprint-validated
     /// against the live repository/registry on every query, so
@@ -402,13 +405,14 @@ impl Broker {
         };
 
         let repl = Replication::new(&config);
+        let cache = Arc::new(VerifyCache::new());
         let shared = Arc::new(Shared {
             repo: RwLock::new(repo),
             registry: RwLock::new(registry),
             clients: RwLock::new(clients),
-            cache: VerifyCache::new(),
+            cache: Arc::clone(&cache),
             products: ProductStore::new(),
-            lint: Mutex::new(LintEngine::new()),
+            lint: Mutex::new(LintEngine::with_cache(cache)),
             deny_lint: config.deny_lint,
             metrics: Metrics::new(),
             plan_cap: config.plan_cap,
@@ -593,12 +597,13 @@ fn warm_start(shared: &Shared) {
     for (_, client) in clients.iter() {
         if shared
             .products
-            .warm(
+            .read_valid(
                 client,
                 &repo,
                 &registry,
                 &store_opts(shared.plan_cap),
                 Some(&shared.cache),
+                0,
             )
             .is_ok()
         {
@@ -944,8 +949,7 @@ fn require_str<'a>(request: &'a Json, field: &str) -> Result<&'a str, Json> {
         .ok_or_else(|| proto::error("bad_request", format!("missing string field `{field}`")))
 }
 
-/// `publish`: parse, well-formedness-check and insert a service; evict
-/// exactly the cached verdicts that mention the touched location.
+/// `publish`: parse, well-formedness-check and insert a service.
 fn cmd_publish(request: &Json, shared: &Shared, source: Source) -> Json {
     if let Some(reject) = reject_on_follower(shared, source) {
         return reject;

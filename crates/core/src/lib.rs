@@ -49,7 +49,7 @@ pub mod report;
 pub mod scenario;
 pub mod verify;
 
-pub use cache::{CacheStats, VerifyCache};
+pub use cache::{CacheStats, StateFingerprints, VerifyCache};
 pub use discover::{discover, discover_matches, DiscoveryCandidate};
 pub use multi::{find_joint_deadlock, verify_network, ClientSpec, JointDeadlock, NetworkReport};
 pub use plans::{composed_requests, enumerate_plans, PlanSpaceExceeded};
@@ -59,6 +59,6 @@ pub use recovery::{
 };
 pub use report::VerifyReport;
 pub use verify::{
-    synthesize, verify, verify_plan, verify_plan_with, verify_with_cap, Engine, PlanVerdict,
-    SynthStats, Synthesis, SynthesisOptions, VerifyError, Violation,
+    synthesize, verify, verify_plan, verify_with_cap, Engine, PlanVerdict, SynthStats, Synthesis,
+    SynthesisOptions, VerifyError, Violation,
 };

@@ -24,21 +24,20 @@
 //!
 //! # Incremental maintenance
 //!
-//! The product is fingerprint-addressed with the same `shash` idiom as
-//! the incremental lint engine: it stores a per-location fingerprint of
-//! `(service behaviour, capacity)` and one fingerprint of the policy
-//! registry. On the next query after a `publish`/`retract`/
-//! `retract_policy`, only the regions whose fingerprints changed are
-//! recomputed — edges touching changed locations, plus the verdicts of
-//! surviving plans that bind a changed location. Verdicts of plans
-//! whose bound locations are untouched are *reused*: security and
-//! progress consult the repository only at the locations a plan binds.
-//! The product's verdict map is the only per-plan memo on this path;
-//! the shared [`VerifyCache`] holds only pure, content-keyed facts, so
-//! no mutation ever has to invalidate anything. A patched product is
-//! byte-identical to a cold rebuild: both paths run the same
-//! deterministic checks over the same inputs and store results in
-//! plan-sorted maps.
+//! A product records the [`StateFingerprints`] of the repository and
+//! registry it was derived from. On the next query after a `publish`/
+//! `retract`/`retract_policy` those fingerprints differ, and the product
+//! is re-derived by the one build path. A verdict row is keyed by the
+//! client, the plan and the fingerprints of what the verdict reads —
+//! the registry and the locations the plan binds, since security and
+//! progress consult the repository nowhere else. A resident row whose
+//! key is unchanged is carried over as is; every other row comes from
+//! the shared [`VerifyCache`], whose layers are keyed the same way, so
+//! only the verdicts that read a changed location are recomputed, and
+//! on a gated broker those were usually already paid for by the lint
+//! engine sharing the cache. A re-derived product equals a cold rebuild
+//! by construction: every row it keeps or looks up has the key a cold
+//! build would compute it under.
 //!
 //! # Equivalence with the enumerative reference
 //!
@@ -52,34 +51,33 @@
 //! verdict, and the report equals the full enumerative report. The plan
 //! cap counts distinct surviving candidates.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sufs_hexpr::shash::stable_hash_of;
-use sufs_hexpr::RequestId;
-use sufs_hexpr::{wf, Hist, Location};
+use sufs_hexpr::{wf, Hist, Location, RequestId};
 use sufs_net::{Plan, Repository};
 use sufs_policy::PolicyRegistry;
 
-use crate::cache::VerifyCache;
+use crate::cache::{StateFingerprints, StateView, VerifyCache};
 use crate::plans::{self, PlanSpaceExceeded};
 use crate::report::VerifyReport;
 use crate::verify::{
-    check_plan, prune_safe_bodies, Engine, PlanVerdict, SynthStats, Synthesis, SynthesisOptions,
-    VerifyError,
+    prune_safe_bodies, Engine, PlanVerdict, SynthStats, Synthesis, SynthesisOptions, VerifyError,
 };
 
 /// Per-query product instrumentation, surfaced in
 /// [`SynthStats::product`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProductInfo {
-    /// Whether an existing product was reused (possibly after a patch)
-    /// instead of built from scratch.
+    /// Whether the client already had a resident product (possibly
+    /// re-derived) instead of one built for it from scratch.
     pub reused: bool,
-    /// Changed regions repaired by the incremental patch: mutated
-    /// locations, plus one for a registry change.
+    /// Changed regions since the resident product was derived: mutated
+    /// locations, plus one for a registry change. Any changed region
+    /// re-derives the product through the verdict cache.
     pub patched: usize,
     /// Admissible `(request, location)` edges in the product.
     pub admissible_edges: usize,
@@ -92,7 +90,8 @@ pub struct ProductInfo {
 pub struct ProductStats {
     /// Products built from scratch.
     pub builds: u64,
-    /// Incremental patches applied (queries that repaired ≥ 1 region).
+    /// Re-derivations of a resident product (queries that saw ≥ 1
+    /// changed region).
     pub patches: u64,
     /// Queries answered by reading off a current product unchanged.
     pub reads: u64,
@@ -102,45 +101,15 @@ pub struct ProductStats {
     pub entries: usize,
 }
 
-/// The per-location fingerprint the product diffs against: behaviour
-/// and capacity together, since both influence verdicts.
-fn location_fp(service: &Hist, capacity: Option<usize>) -> u64 {
-    stable_hash_of(&(service, capacity.map(|c| c as u64)))
-}
-
-/// The repository signature: one fingerprint per published location.
-fn repo_signature(repo: &Repository) -> BTreeMap<Location, u64> {
-    repo.iter()
-        .map(|(loc, service)| {
-            let capacity = repo.capacity(loc).flatten();
-            (loc.clone(), location_fp(service, capacity))
-        })
-        .collect()
-}
-
-/// One fingerprint of the whole policy registry (same idiom as the
-/// incremental lint engine): verdicts depend on it through every policy
-/// the composition can activate.
-fn registry_fingerprint(registry: &PolicyRegistry) -> u64 {
-    let parts: Vec<u64> = registry
-        .iter()
-        .map(|a| stable_hash_of(&format!("{a:?}")))
-        .collect();
-    stable_hash_of(&parts)
-}
-
 /// The composed product for one client over one repository state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Product {
-    /// Fingerprint of `(service, capacity)` per location at build time.
-    repo_sig: BTreeMap<Location, u64>,
-    /// Fingerprint of the policy registry at build time.
-    registry_fp: u64,
-    /// The per-request bodies the edge relation committed to, or `None`
-    /// when compliance pruning is unsound (ambiguous bodies) and the
-    /// product materializes every candidate instead.
-    bodies: Option<HashMap<RequestId, Hist>>,
-    /// `request × location → admissible` (empty when `bodies` is `None`).
+    /// The repository and registry state the product was derived from.
+    state: StateFingerprints,
+    /// Whether compliance pruning is sound here; when it is not
+    /// (ambiguous bodies) the product materializes every candidate.
+    prune_active: bool,
+    /// `request × location → admissible` (empty without pruning).
     edges: BTreeMap<RequestId, BTreeMap<Location, bool>>,
     /// Every surviving plan with its materialized verdict.
     verdicts: BTreeMap<Plan, PlanVerdict>,
@@ -182,26 +151,20 @@ fn edge_row<'a>(
         .collect()
 }
 
-/// Enumerates the distinct surviving plans under the product's edge
-/// relation, cutting inadmissible branches during construction.
-fn surviving_plans(
-    client: &Hist,
-    repo: &Repository,
-    edges: &BTreeMap<RequestId, BTreeMap<Location, bool>>,
-    cap: usize,
-) -> Result<(BTreeSet<Plan>, usize), PlanSpaceExceeded> {
-    plans::surviving_plans(client, repo, cap, &mut |_plan, r, loc| {
-        matches!(edges.get(&r).and_then(|row| row.get(loc)), Some(false))
-    })
-}
-
+/// Derives the product for `client` over `state`. On a re-derivation,
+/// `prior` is the resident product: each of its rows whose plan reads the
+/// same fingerprints under both states is the row the verdict cache would
+/// return, and is moved over without a lookup, so re-deriving a product
+/// recomputes only the verdicts that read a changed region however small
+/// the shared cache's bound. Every other verdict goes through `cache`.
 fn build_product(
-    client: &Hist,
-    repo: &Repository,
-    registry: &PolicyRegistry,
+    client: &Arc<Hist>,
+    state: &StateView<'_>,
     cap: usize,
     cache: &VerifyCache,
+    prior: Option<Product>,
 ) -> Result<Product, VerifyError> {
+    let repo = state.repo();
     let bodies = prune_safe_bodies(client, repo);
     let edges: BTreeMap<RequestId, BTreeMap<Location, bool>> = match &bodies {
         Some(map) => map
@@ -210,116 +173,41 @@ fn build_product(
             .collect(),
         None => BTreeMap::new(),
     };
-    let (surviving, pruned_subtrees) = surviving_plans(client, repo, &edges, cap)?;
+    // Enumerate the distinct surviving plans, cutting inadmissible
+    // branches during construction.
+    let (surviving, pruned_subtrees) =
+        plans::surviving_plans(client, repo, cap, &mut |_, r, loc| {
+            matches!(edges.get(&r).and_then(|row| row.get(loc)), Some(false))
+        })?;
+    let mut resident = prior.map(|p| (p.state, p.verdicts));
     let mut verdicts = BTreeMap::new();
     for plan in surviving {
-        let verdict = check_plan(client, &plan, repo, registry, Some(cache))?;
+        let reused = resident.as_mut().and_then(|(then, rows)| {
+            let bound = || plan.iter().map(|(_, loc)| loc);
+            if then.reads(bound()) == state.fingerprints().reads(bound()) {
+                rows.remove(&plan)
+            } else {
+                None
+            }
+        });
+        let verdict = match reused {
+            Some(verdict) => verdict,
+            None => cache.verdict(client, &plan, state)?,
+        };
         verdicts.insert(plan, verdict);
     }
     Ok(Product {
-        repo_sig: repo_signature(repo),
-        registry_fp: registry_fingerprint(registry),
-        bodies,
+        state: state.fingerprints().clone(),
+        prune_active: bodies.is_some(),
         edges,
         verdicts,
         pruned_subtrees,
     })
 }
 
-/// Patches `product` to the current `(repo, registry)` state, repairing
-/// only the regions whose fingerprints changed. Returns the number of
-/// repaired regions (0 = the product was already current).
-fn patch_product(
-    product: &mut Product,
-    client: &Hist,
-    repo: &Repository,
-    registry: &PolicyRegistry,
-    cap: usize,
-    cache: &VerifyCache,
-) -> Result<usize, VerifyError> {
-    let new_sig = repo_signature(repo);
-    let new_registry_fp = registry_fingerprint(registry);
-    let changed: BTreeSet<Location> = product
-        .repo_sig
-        .iter()
-        .filter(|(loc, fp)| new_sig.get(*loc) != Some(fp))
-        .map(|(loc, _)| loc.clone())
-        .chain(
-            new_sig
-                .keys()
-                .filter(|loc| !product.repo_sig.contains_key(*loc))
-                .cloned(),
-        )
-        .collect();
-    let registry_changed = new_registry_fp != product.registry_fp;
-    if changed.is_empty() && !registry_changed {
-        return Ok(0);
-    }
-
-    if !changed.is_empty() {
-        let bodies = prune_safe_bodies(client, repo);
-        match (&product.bodies, &bodies) {
-            (Some(old), Some(new)) => {
-                // Requests whose committed body changed (or that are new)
-                // re-check every location; stable requests re-check only
-                // the changed locations.
-                let mut edges = BTreeMap::new();
-                for (r, body) in new {
-                    let row = match (old.get(r), product.edges.get(r)) {
-                        (Some(old_body), Some(old_row)) if old_body == body => {
-                            let mut row: BTreeMap<Location, bool> = old_row
-                                .iter()
-                                .filter(|(loc, _)| {
-                                    !changed.contains(*loc) && new_sig.contains_key(*loc)
-                                })
-                                .map(|(loc, a)| (loc.clone(), *a))
-                                .collect();
-                            let touched = repo.iter().filter(|(loc, _)| changed.contains(*loc));
-                            row.extend(edge_row(body, touched, cache));
-                            row
-                        }
-                        _ => edge_row(body, repo.iter(), cache),
-                    };
-                    edges.insert(*r, row);
-                }
-                product.edges = edges;
-            }
-            (_, Some(new)) => {
-                // The product previously ran unpruned; rebuild the whole
-                // edge relation.
-                product.edges = new
-                    .iter()
-                    .map(|(r, body)| (*r, edge_row(body, repo.iter(), cache)))
-                    .collect();
-            }
-            (_, None) => {
-                // Bodies became ambiguous: pruning is off from here on.
-                product.edges = BTreeMap::new();
-            }
-        }
-        product.bodies = bodies;
-    }
-
-    let (surviving, pruned_subtrees) = surviving_plans(client, repo, &product.edges, cap)?;
-    let mut verdicts = BTreeMap::new();
-    for plan in surviving {
-        let untouched = !registry_changed && !plan.iter().any(|(_, loc)| changed.contains(loc));
-        let verdict = match product.verdicts.get(&plan) {
-            Some(v) if untouched => v.clone(),
-            _ => check_plan(client, &plan, repo, registry, Some(cache))?,
-        };
-        verdicts.insert(plan, verdict);
-    }
-    product.verdicts = verdicts;
-    product.pruned_subtrees = pruned_subtrees;
-    product.repo_sig = new_sig;
-    product.registry_fp = new_registry_fp;
-    Ok(changed.len() + usize::from(registry_changed))
-}
-
 #[derive(Debug)]
 struct Entry {
-    client: Hist,
+    client: Arc<Hist>,
     client_fp: u64,
     product: Product,
     last_used: u64,
@@ -334,16 +222,17 @@ pub const DEFAULT_STORE_CAPACITY: usize = 64;
 /// `sufs verify --engine compositional`.
 ///
 /// Internally synchronised; a query holds the store lock for the
-/// duration of any build/patch it triggers, so concurrent queries for
-/// the same repository state serialise on the structure they share —
-/// by design, since the second query then reads off the first one's
-/// work. Nothing here needs an invalidation call: each product
-/// re-validates against the current repository and registry
-/// fingerprints on every query, and a shared [`VerifyCache`] holds
-/// only pure, content-keyed facts.
+/// duration of any build it triggers, so concurrent queries for the
+/// same repository state serialise on the structure they share — by
+/// design, since the second query then reads off the first one's work.
+/// Nothing here needs an invalidation call: each product re-validates
+/// against the current [`StateFingerprints`] on every query, and a
+/// [`VerifyCache`] is keyed by content. Queries that pass no shared
+/// cache use one the store owns.
 #[derive(Debug)]
 pub struct ProductStore {
     entries: Mutex<Vec<Entry>>,
+    cache: VerifyCache,
     capacity: usize,
     clock: AtomicU64,
     builds: AtomicU64,
@@ -368,6 +257,7 @@ impl ProductStore {
     pub fn with_capacity(capacity: usize) -> Self {
         ProductStore {
             entries: Mutex::new(Vec::new()),
+            cache: VerifyCache::new(),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
             builds: AtomicU64::new(0),
@@ -392,32 +282,8 @@ impl ProductStore {
         }
     }
 
-    /// Drops every resident product (they rebuild on next query).
-    pub fn clear(&self) {
-        self.entries.lock().expect("product store poisoned").clear();
-    }
-
-    /// Builds (or patches) the product for `client` without reading a
-    /// report: the broker's warm-start hook, run after crash recovery
-    /// so the first post-recovery query pays read-off price only.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProductStore::synthesize`].
-    pub fn warm(
-        &self,
-        client: &Hist,
-        repo: &Repository,
-        registry: &PolicyRegistry,
-        opts: &SynthesisOptions,
-        shared: Option<&VerifyCache>,
-    ) -> Result<(), VerifyError> {
-        self.synthesize(client, repo, registry, opts, shared)
-            .map(|_| ())
-    }
-
     /// Compositional synthesis: answers from the resident product for
-    /// `client`, building or patching it first if the repository or
+    /// `client`, building or re-deriving it first if the repository or
     /// registry fingerprints moved. Report-equivalent to the pruned
     /// enumerative engine (see the module docs for the exact spec).
     ///
@@ -478,7 +344,7 @@ impl ProductStore {
     }
 
     /// Shared maintenance path: locate (or build) the resident product
-    /// for `client`, patch it if the repository or registry
+    /// for `client`, re-derive it if the repository or registry
     /// fingerprints moved, and hand it to `read` under the store lock.
     fn with_entry<T>(
         &self,
@@ -491,45 +357,47 @@ impl ProductStore {
     ) -> Result<(T, SynthStats), VerifyError> {
         let start = Instant::now();
         wf::check(client).map_err(VerifyError::IllFormedClient)?;
-        let local;
-        let (cache, mark) = match shared {
-            Some(shared) => (shared, Some(shared.stats())),
-            None => {
-                local = VerifyCache::new();
-                (&local, None)
-            }
-        };
+        let cache = shared.unwrap_or(&self.cache);
+        let mark = cache.stats();
 
         let client_fp = stable_hash_of(client);
+        let state = StateView::of(repo, registry);
+        let cap = opts.plan_cap;
         let now = self.tick();
         let mut entries = self.entries.lock().expect("product store poisoned");
         let slot = entries
             .iter()
-            .position(|e| e.client_fp == client_fp && e.client == *client);
+            .position(|e| e.client_fp == client_fp && *e.client == *client);
         let mut info = ProductInfo::default();
         let entry = match slot {
             Some(i) => {
-                let entry = &mut entries[i];
-                let patched = patch_product(
-                    &mut entry.product,
-                    client,
-                    repo,
-                    registry,
-                    opts.plan_cap,
-                    cache,
-                )?;
+                let patched = state
+                    .fingerprints()
+                    .changed_regions(&entries[i].product.state);
                 if patched > 0 {
+                    let prior = std::mem::take(&mut entries[i].product);
+                    match build_product(&entries[i].client, &state, cap, cache, Some(prior)) {
+                        Ok(product) => entries[i].product = product,
+                        Err(e) => {
+                            // The resident rows went into the failed
+                            // derivation; the next query builds afresh.
+                            entries.remove(i);
+                            return Err(e);
+                        }
+                    }
                     self.patches.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.reads.fetch_add(1, Ordering::Relaxed);
                 }
                 info.reused = true;
                 info.patched = patched;
+                let entry = &mut entries[i];
                 entry.last_used = now;
                 entry
             }
             None => {
-                let product = build_product(client, repo, registry, opts.plan_cap, cache)?;
+                let client = Arc::new(client.clone());
+                let product = build_product(&client, &state, cap, cache, None)?;
                 self.builds.fetch_add(1, Ordering::Relaxed);
                 if entries.len() >= self.capacity {
                     if let Some(oldest) = entries
@@ -543,7 +411,7 @@ impl ProductStore {
                     }
                 }
                 entries.push(Entry {
-                    client: client.clone(),
+                    client,
                     client_fp,
                     product,
                     last_used: now,
@@ -552,7 +420,7 @@ impl ProductStore {
             }
         };
 
-        // The cap binds every read, not only builds and patches: a
+        // The cap binds every read, not only builds: a
         // product resident from a roomier query must not answer one
         // with a lower cap that a cold build would refuse.
         let candidates = entry.product.verdicts.len();
@@ -564,7 +432,7 @@ impl ProductStore {
         info.admissible_edges = entry.product.admissible_edges();
         info.total_edges = entry.product.total_edges();
         let pruned_subtrees = entry.product.pruned_subtrees;
-        let prune_active = entry.product.bodies.is_some();
+        let prune_active = entry.product.prune_active;
         let out = read(&entry.product);
         drop(entries);
 
@@ -572,10 +440,7 @@ impl ProductStore {
             candidates,
             pruned_subtrees,
             prune_active,
-            cache: Some(match &mark {
-                Some(mark) => cache.stats().since(mark),
-                None => cache.stats(),
-            }),
+            cache: Some(cache.stats().since(&mark)),
             engine: Engine::Compositional,
             product: Some(info),
             elapsed: start.elapsed(),
@@ -584,10 +449,8 @@ impl ProductStore {
     }
 
     /// The *full* plan space for `client` over `repo` (no pruning), up
-    /// to `cap` distinct plans: the product-backed replacement for raw
-    /// enumeration, used by the lint engine's plan-space caches. The
-    /// result is identical to `enumerate_plans` — the product only
-    /// contributes its closure walk.
+    /// to `cap` distinct plans: [`plans::enumerate_plans`], kept for the
+    /// benchmark harness (`perfbench`), which sizes its inputs with it.
     ///
     /// # Errors
     ///
@@ -697,18 +560,22 @@ mod tests {
         let registry = PolicyRegistry::new();
         let opts = SynthesisOptions::default();
         let store = ProductStore::new();
+        let cache = VerifyCache::new();
         store
-            .synthesize(&client, &repo, &registry, &opts, None)
+            .synthesize(&client, &repo, &registry, &opts, Some(&cache))
             .unwrap();
         repo.publish("good2", recv("q", choose([("a", eps())])));
         let patched = store
-            .synthesize(&client, &repo, &registry, &opts, None)
+            .synthesize(&client, &repo, &registry, &opts, Some(&cache))
             .unwrap();
         let info = patched.stats.product.unwrap();
         assert!(info.reused);
         assert_eq!(info.patched, 1);
-        assert_eq!(patched.report.len(), 9); // 3² survivors
-                                             // Byte-identical to a cold rebuild.
+        // 3² survivors: the 4 plans that do not bind good2 keep their
+        // resident rows without a lookup; the 5 that do are verified.
+        assert_eq!(patched.report.len(), 9);
+        assert_eq!(patched.stats.cache.unwrap().verdict, (0, 5));
+        // Byte-identical to a cold rebuild.
         let cold = ProductStore::new()
             .synthesize(&client, &repo, &registry, &opts, None)
             .unwrap();

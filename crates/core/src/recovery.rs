@@ -5,7 +5,7 @@
 //! the monitor off — so when a bound service dies mid-run, the
 //! component may re-bind to *another* valid plan and restart without
 //! re-verifying anything at run time. This module computes those
-//! fallback chains once, up front, from the same [`verify`] pass that
+//! fallback chains once, up front, from the same [`verify`](crate::verify::verify) pass that
 //! certified the primary plan, and packages them as the
 //! [`RecoveryTable`] consumed by `sufs_net`'s scheduler.
 //!

@@ -294,26 +294,8 @@ pub fn verify_plan(
     repo: &Repository,
     registry: &PolicyRegistry,
 ) -> Result<PlanVerdict, VerifyError> {
-    verify_plan_with(client, plan, repo, registry, None)
-}
-
-/// [`verify_plan`] against a caller-owned [`VerifyCache`]: the per-plan
-/// entry point behind the incremental lint engine, which splices
-/// memoized verdicts and re-verifies only the plans whose bound
-/// locations changed. Verdict-identical to [`verify_plan`].
-///
-/// # Errors
-///
-/// As [`verify_plan`].
-pub fn verify_plan_with(
-    client: &Hist,
-    plan: &Plan,
-    repo: &Repository,
-    registry: &PolicyRegistry,
-    cache: Option<&VerifyCache>,
-) -> Result<PlanVerdict, VerifyError> {
     wf::check(client).map_err(VerifyError::IllFormedClient)?;
-    check_plan(client, plan, repo, registry, cache)
+    check_plan(client, plan, repo, registry, None)
 }
 
 /// Which synthesis engine answers a query.
@@ -324,7 +306,7 @@ pub enum Engine {
     #[default]
     Enumerative,
     /// Read plans off the composed product ([`crate::product`]),
-    /// building or incrementally patching it first if the repository
+    /// building or re-deriving it first if the repository
     /// or registry state moved.
     Compositional,
 }

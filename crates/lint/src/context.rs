@@ -8,22 +8,24 @@
 //! [`Scenario`] *and* over a broker's live [`Repository`]. Repeated
 //! builds can share an [`AnalysisCaches`], which memoizes the expensive
 //! sub-analyses (stand-alone LTSs, candidate plan spaces, whole
-//! per-plan verdicts backed by a [`VerifyCache`], composed-execution
-//! reachability) keyed by `sufs-hexpr::shash` structural fingerprints
-//! of everything they read, so no entry can go stale and re-analyzing a
-//! repository after a single mutation only pays for what changed.
+//! per-client reports, composed-execution reachability) keyed by
+//! `sufs-hexpr::shash` structural fingerprints of everything they read,
+//! so no entry can go stale and re-analyzing a repository after a
+//! single mutation only pays for what changed. Per-plan verdicts are
+//! rows of a [`VerifyCache`], which a broker shares with its composed
+//! products: a verdict computed here is a hit for the next `plan` read.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use sufs_core::cache::VerifyCache;
+use sufs_core::cache::{StateView, VerifyCache};
 use sufs_core::plans::{enumerate_plans, PlanSpaceExceeded, DEFAULT_PLAN_CAP};
 use sufs_core::report::VerifyReport;
 use sufs_core::scenario::{Scenario, SpanTable, SrcPos};
-use sufs_core::verify::{verify_plan_with, PlanVerdict, DEFAULT_STATE_BOUND};
+use sufs_core::verify::{VerifyError, DEFAULT_STATE_BOUND};
 use sufs_hexpr::requests::requests;
 use sufs_hexpr::shash::stable_hash_of;
-use sufs_hexpr::{Event, Hist, HistLts, Label, Location, PolicyRef, RequestId};
+use sufs_hexpr::{wf, Event, Hist, HistLts, Label, Location, PolicyRef, RequestId};
 use sufs_net::symbolic::{symbolic_successors, SymState};
 use sufs_net::{Plan, Repository};
 use sufs_policy::cost::CostBound;
@@ -81,13 +83,13 @@ impl<'a> From<&'a Scenario> for LintInput<'a> {
 
 /// Memoized sub-analyses shared across context builds. Every map is
 /// content-addressed — keyed by structural fingerprints of everything
-/// its entries read — and the [`VerifyCache`] holds only pure
-/// projection and compliance facts, so nothing ever needs
-/// invalidating on mutation.
+/// its entries read — and so is the [`VerifyCache`], so nothing ever
+/// needs invalidating on mutation.
 #[derive(Debug, Default)]
 pub struct AnalysisCaches {
-    /// Shared projection/compliance memo for plan verification.
-    pub verify: VerifyCache,
+    /// Projection, compliance and per-plan verdict rows; a broker
+    /// shares this one with its composed products.
+    pub verify: Arc<VerifyCache>,
     /// Stand-alone LTSs keyed by `(hist fingerprint, bound)`.
     lts: HashMap<(u64, usize), Arc<HistLts>>,
     /// Per-behaviour ground events keyed by behaviour fingerprint.
@@ -104,15 +106,9 @@ pub struct AnalysisCaches {
     plans: HashMap<u64, PlanSpace>,
     /// Exposed-request fingerprints keyed by behaviour fingerprint.
     exposed: HashMap<u64, u64>,
-    /// Per-plan verdicts keyed by a fingerprint of `(client, plan,
-    /// registry, bound locations' behaviours and capacities)` — i.e.
-    /// everything the verdict reads. A mutation that reshapes the plan
-    /// space still splices the verdict of every plan it did not touch.
-    verdict_rows: HashMap<u64, PlanVerdict>,
     /// Whole per-client reports keyed by a fingerprint of `(plan
-    /// space, every row's dependency state)`: a re-lint of a
-    /// previously seen state reuses the report without cloning a
-    /// single verdict.
+    /// space, what its rows read)`: a re-lint of a previously seen
+    /// state reuses the report without cloning a single verdict.
     reports: HashMap<u64, Arc<VerifyReport>>,
 }
 
@@ -123,6 +119,8 @@ pub struct AnalysisCaches {
 struct PlanSpace {
     plans: Arc<Vec<Plan>>,
     meta: Arc<Vec<PlanMeta>>,
+    /// The distinct locations any plan binds, sorted.
+    locs: Arc<Vec<Location>>,
 }
 
 /// Precomputed per-plan facts every refresh needs.
@@ -136,29 +134,19 @@ struct PlanMeta {
 
 impl AnalysisCaches {
     /// Drops the content-addressed maps if they have grown past
-    /// `limit` entries (the verify cache is left alone).
+    /// `limit` entries (the verify cache bounds its own layers).
     pub fn trim(&mut self, limit: usize) {
-        if self.lts.len() > limit {
-            self.lts.clear();
+        fn bound<K, V>(map: &mut HashMap<K, V>, limit: usize) {
+            if map.len() > limit {
+                map.clear();
+            }
         }
-        if self.events.len() > limit {
-            self.events.clear();
-        }
-        if self.composed.len() > limit {
-            self.composed.clear();
-        }
-        if self.plans.len() > limit {
-            self.plans.clear();
-        }
-        if self.exposed.len() > limit {
-            self.exposed.clear();
-        }
-        if self.verdict_rows.len() > limit {
-            self.verdict_rows.clear();
-        }
-        if self.reports.len() > limit {
-            self.reports.clear();
-        }
+        bound(&mut self.lts, limit);
+        bound(&mut self.events, limit);
+        bound(&mut self.composed, limit);
+        bound(&mut self.plans, limit);
+        bound(&mut self.exposed, limit);
+        bound(&mut self.reports, limit);
     }
 
     fn lts_for(
@@ -196,7 +184,7 @@ impl AnalysisCaches {
     /// those), so the key folds the per-location exposed-request
     /// fingerprints: a body edit that keeps a service's requests
     /// intact reuses the enumeration. Returns the key alongside so the
-    /// verdict rows of the same plan space can be addressed.
+    /// report over the same plan space can be addressed.
     fn plans_for(
         &mut self,
         client: &Hist,
@@ -224,7 +212,7 @@ impl AnalysisCaches {
             return Ok((pkey, space.clone()));
         }
         let plans = Arc::new(enumerate_plans(client, repo, cap)?);
-        let meta = Arc::new(
+        let meta: Arc<Vec<PlanMeta>> = Arc::new(
             plans
                 .iter()
                 .map(|plan| {
@@ -236,7 +224,9 @@ impl AnalysisCaches {
                 })
                 .collect(),
         );
-        let space = PlanSpace { plans, meta };
+        let locs: BTreeSet<&Location> = meta.iter().flat_map(|m| &m.locs).collect();
+        let locs = Arc::new(locs.into_iter().cloned().collect());
+        let space = PlanSpace { plans, meta, locs };
         self.plans.insert(pkey, space.clone());
         Ok((pkey, space))
     }
@@ -329,13 +319,17 @@ impl<'a> LintContext<'a> {
         plan_cap: usize,
     ) -> Result<LintContext<'a>, LintError> {
         let mut caches = AnalysisCaches::default();
-        Self::build_cached(scenario.into(), bound, plan_cap, &mut caches)
+        let state = StateView::of(&scenario.repository, &scenario.registry);
+        Self::build_cached(scenario.into(), &state, bound, plan_cap, &mut caches)
     }
 
     /// Precomputes the context over any [`LintInput`], memoizing the
-    /// expensive sub-analyses in `caches` for the next build.
-    pub fn build_cached(
+    /// expensive sub-analyses in `caches` for the next build. `state` is
+    /// the [`StateView`] of the input's own repository and registry,
+    /// which the engine has already computed for its diff.
+    pub(crate) fn build_cached(
         input: LintInput<'a>,
+        state: &StateView<'_>,
         bound: usize,
         plan_cap: usize,
         caches: &mut AnalysisCaches,
@@ -364,20 +358,15 @@ impl<'a> LintContext<'a> {
             .iter()
             .any(|o| input.registry.instantiate(&o.reference).is_err());
 
-        // Per-location fingerprints `[name, behaviour, capacity]`,
-        // computed once: every cache key below (plans, verdicts,
-        // composed reachability) is assembled from these.
+        // Per-location fingerprints `[name, behaviour, capacity]`:
+        // every cache key below (plans, reports, composed
+        // reachability) is assembled from these.
+        let fingerprints = state.fingerprints();
         let mut alphabet_union: BTreeSet<Event> = BTreeSet::new();
         let mut loc_info: BTreeMap<&Location, [u64; 3]> = BTreeMap::new();
         let mut services: BTreeMap<Location, ServiceAnalysis> = BTreeMap::new();
         for (loc, h) in input.repository.iter() {
-            let body_fp = stable_hash_of(h);
-            // `Some(Some(n))` is bounded, anything else unbounded —
-            // the same encoding the engine fingerprints use.
-            let cap_fp = match input.repository.capacity(loc) {
-                Some(Some(n)) => n as u64,
-                _ => u64::MAX,
-            };
+            let (body_fp, cap_fp) = fingerprints.locations()[loc];
             loc_info.insert(loc, [stable_hash_of(loc.as_str()), body_fp, cap_fp]);
             alphabet_union.extend(caches.events_of(body_fp, h).iter().cloned());
             let lts = caches.lts_for(|| format!("service {loc}"), h, body_fp, bound)?;
@@ -392,17 +381,6 @@ impl<'a> LintContext<'a> {
             );
         }
 
-        // One fingerprint of the whole registry: verdicts depend on it
-        // through every policy the composition can activate.
-        let registry_fp = {
-            let parts: Vec<u64> = input
-                .registry
-                .iter()
-                .map(|a| stable_hash_of(&format!("{a:?}")))
-                .collect();
-            stable_hash_of(&parts)
-        };
-
         let mut clients = Vec::new();
         let mut key_buf: Vec<u64> = Vec::new();
         for (name, h) in input.clients {
@@ -415,7 +393,7 @@ impl<'a> LintContext<'a> {
                     client: name.clone(),
                     error,
                 })?;
-            let PlanSpace { plans, meta } = space;
+            let PlanSpace { plans, meta, locs } = space;
 
             let mut reachable_events = BTreeSet::new();
             let mut explored_all = true;
@@ -459,56 +437,27 @@ impl<'a> LintContext<'a> {
             let (report, verified) = if has_unresolved {
                 (Arc::new(VerifyReport::new(Vec::new())), false)
             } else {
-                // Fingerprint what each plan's verdict reads (registry
-                // plus the bound locations' behaviours and
-                // capacities); the plan itself is pinned by its row
-                // index in the cached plan space.
-                let deps: Vec<u64> = meta
-                    .iter()
-                    .map(|m| {
-                        key_buf.clear();
-                        key_buf.push(registry_fp);
-                        for loc in &m.locs {
-                            key_buf
-                                .extend(loc_info.get(loc).expect("plans bind published locations"));
-                        }
-                        stable_hash_of(&key_buf)
-                    })
-                    .collect();
-                let rkey = stable_hash_of(&(pkey, &deps));
+                // The report is a function of the plan space and of what
+                // its rows read.
+                let rkey = stable_hash_of(&(pkey, fingerprints.reads(locs.iter())));
                 let report = match caches.reports.get(&rkey) {
                     Some(report) => Arc::clone(report),
                     None => {
-                        // Splice row verdicts whose inputs are
-                        // unchanged; re-verify the rest through the
-                        // shared `VerifyCache`. Verdict-identical to
-                        // uncached verification — pinned by the
-                        // equivalence suite in
-                        // `tests/lint_incremental.rs`.
-                        let mut verdicts = Vec::with_capacity(plans.len());
-                        for ((plan, m), dep) in plans.iter().zip(meta.iter()).zip(&deps) {
-                            let vkey = stable_hash_of(&[client_hash, m.fp, *dep]);
-                            let cached = caches.verdict_rows.get(&vkey).filter(|v| v.plan == *plan);
-                            let verdict = match cached {
-                                Some(v) => v.clone(),
-                                None => {
-                                    let v = verify_plan_with(
-                                        h,
-                                        plan,
-                                        input.repository,
-                                        input.registry,
-                                        Some(&caches.verify),
-                                    )
-                                    .map_err(|error| LintError::Verify {
-                                        client: name.clone(),
-                                        error,
-                                    })?;
-                                    caches.verdict_rows.insert(vkey, v.clone());
-                                    v
-                                }
-                            };
-                            verdicts.push(verdict);
+                        let verify_error = |error| LintError::Verify {
+                            client: name.clone(),
+                            error,
+                        };
+                        // Well-formedness is per client, not per row.
+                        if !plans.is_empty() {
+                            wf::check(h)
+                                .map_err(|e| verify_error(VerifyError::IllFormedClient(e)))?;
                         }
+                        let client = Arc::new(h.clone());
+                        let verdicts = plans
+                            .iter()
+                            .map(|plan| caches.verify.verdict(&client, plan, state))
+                            .collect::<Result<Vec<_>, _>>()
+                            .map_err(verify_error)?;
                         let report = Arc::new(VerifyReport::new(verdicts));
                         caches.reports.insert(rkey, Arc::clone(&report));
                         report
@@ -669,12 +618,18 @@ mod tests {
         let cold = LintContext::build(&sc).unwrap();
         let mut caches = AnalysisCaches::default();
         let input = LintInput::from(&sc);
-        let warm1 =
-            LintContext::build_cached(input, DEFAULT_STATE_BOUND, DEFAULT_PLAN_CAP, &mut caches)
-                .unwrap();
-        let warm2 =
-            LintContext::build_cached(input, DEFAULT_STATE_BOUND, DEFAULT_PLAN_CAP, &mut caches)
-                .unwrap();
+        let state = StateView::of(&sc.repository, &sc.registry);
+        let mut build = || {
+            LintContext::build_cached(
+                input,
+                &state,
+                DEFAULT_STATE_BOUND,
+                DEFAULT_PLAN_CAP,
+                &mut caches,
+            )
+            .unwrap()
+        };
+        let (warm1, warm2) = (build(), build());
         for warm in [&warm1, &warm2] {
             assert_eq!(warm.clients.len(), cold.clients.len());
             for (a, b) in warm.clients.iter().zip(&cold.clients) {

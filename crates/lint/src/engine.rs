@@ -8,82 +8,73 @@
 //! each capacity annotation, each policy automaton, and the budget
 //! list. A [`refresh`](LintEngine::refresh) diffs the fingerprints
 //! against the previous state, rebuilds the [`LintContext`] through the
-//! shared [`AnalysisCaches`] (stand-alone LTSs, per-plan verification
+//! engine's [`AnalysisCaches`] (stand-alone LTSs, per-plan verdict rows
 //! and composed reachability all become lookups for unchanged
 //! components; every cache is content-addressed, so none needs
-//! invalidating), and then walks the passes: a
-//! pass none of whose [`Dep`](crate::passes::Dep) kinds changed gets
-//! its previous diagnostics spliced back verbatim; the rest re-run.
+//! invalidating), and then walks the passes: a pass none of whose
+//! [`Dep`] kinds changed gets its previous diagnostics spliced back
+//! verbatim; the rest re-run. The verdict rows live in a
+//! [`VerifyCache`], which [`LintEngine::with_cache`] shares with other
+//! consumers — a broker's composed products read the same rows.
 //! The result is equal to a cold full re-lint — enforced by the seeded
 //! property suite in `tests/lint_incremental.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use sufs_core::cache::{LocationFp, StateFingerprints, StateView, VerifyCache, CACHE_LIMIT};
 use sufs_core::plans::DEFAULT_PLAN_CAP;
 use sufs_core::verify::DEFAULT_STATE_BOUND;
 use sufs_hexpr::shash::stable_hash_of;
-use sufs_hexpr::Location;
 
 use crate::context::{AnalysisCaches, LintContext, LintInput};
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::passes::{self, Dep};
 use crate::{sort_diagnostics, LintError};
 
-/// Past this many content-addressed cache entries the maps are dropped
-/// wholesale (a crude bound; entries are re-derivable).
-const CACHE_TRIM: usize = 1 << 16;
-
 /// Per-declaration fingerprints of one input state.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Fingerprints {
     clients: BTreeMap<String, u64>,
-    services: BTreeMap<Location, u64>,
-    capacities: BTreeMap<Location, u64>,
-    policies: BTreeMap<String, u64>,
+    /// Services, capacities and policies.
+    state: StateFingerprints,
     budgets: u64,
 }
 
 impl Fingerprints {
-    fn of(input: &LintInput<'_>) -> Fingerprints {
-        let mut fp = Fingerprints::default();
-        for (name, hist) in input.clients {
-            fp.clients.insert(name.clone(), stable_hash_of(hist));
+    fn of(input: &LintInput<'_>, state: &StateView<'_>) -> Fingerprints {
+        Fingerprints {
+            clients: input
+                .clients
+                .iter()
+                .map(|(name, hist)| (name.clone(), stable_hash_of(hist)))
+                .collect(),
+            state: state.fingerprints().clone(),
+            budgets: stable_hash_of(&format!("{:?}", input.budgets)),
         }
-        for (loc, hist) in input.repository.iter() {
-            fp.services.insert(loc.clone(), stable_hash_of(hist));
-            // `capacity` is `Some(None)` for unbounded, `Some(Some(n))`
-            // for bounded; encode both distinctly.
-            let cap = match input.repository.capacity(loc) {
-                Some(Some(n)) => n as u64,
-                _ => u64::MAX,
-            };
-            fp.capacities.insert(loc.clone(), cap);
-        }
-        for automaton in input.registry.iter() {
-            // `UsageAutomaton` has no `Hash`, but its `Debug` rendering
-            // is a pure function of its (all-`String`/`Vec`) fields.
-            fp.policies.insert(
-                automaton.name().to_string(),
-                stable_hash_of(&format!("{automaton:?}")),
-            );
-        }
-        fp.budgets = stable_hash_of(&format!("{:?}", input.budgets));
-        fp
     }
 
     /// The declaration kinds that differ between two states.
     fn changed_kinds(&self, prev: &Fingerprints) -> BTreeSet<Dep> {
+        let (now, then) = (self.state.locations(), prev.state.locations());
+        // Whether one component of the per-location fingerprints (or
+        // the set of locations) differs.
+        let differs = |part: fn(&LocationFp) -> u64| {
+            !now.iter()
+                .map(|(loc, fp)| (loc, part(fp)))
+                .eq(then.iter().map(|(loc, fp)| (loc, part(fp))))
+        };
         let mut changed = BTreeSet::new();
         if self.clients != prev.clients {
             changed.insert(Dep::Clients);
         }
-        if self.services != prev.services {
+        if differs(|fp| fp.0) {
             changed.insert(Dep::Services);
         }
-        if self.capacities != prev.capacities {
+        if differs(|fp| fp.1) {
             changed.insert(Dep::Capacities);
         }
-        if self.policies != prev.policies {
+        if self.state.registry() != prev.state.registry() {
             changed.insert(Dep::Policies);
         }
         if self.budgets != prev.budgets {
@@ -127,6 +118,15 @@ impl LintEngine {
         Self::with_bounds(DEFAULT_STATE_BOUND, DEFAULT_PLAN_CAP)
     }
 
+    /// An engine with the default bounds whose projection, compliance
+    /// and verdict rows live in `cache`, shared with its other users
+    /// (a broker's composed products).
+    pub fn with_cache(cache: Arc<VerifyCache>) -> LintEngine {
+        let mut engine = Self::new();
+        engine.caches.verify = cache;
+        engine
+    }
+
     /// An engine with explicit bounds.
     pub fn with_bounds(bound: usize, plan_cap: usize) -> LintEngine {
         LintEngine {
@@ -152,7 +152,8 @@ impl LintEngine {
     /// As [`crate::lint_scenario`]; the previous report is kept on
     /// error and the next refresh starts from the same diff.
     pub fn refresh(&mut self, input: LintInput<'_>) -> Result<RefreshOutcome, LintError> {
-        let fp = Fingerprints::of(&input);
+        let state = StateView::of(input.repository, input.registry);
+        let fp = Fingerprints::of(&input, &state);
         let changed = match &self.state {
             None => BTreeSet::from([
                 Dep::Clients,
@@ -170,9 +171,10 @@ impl LintEngine {
             });
         }
 
-        self.caches.trim(CACHE_TRIM);
+        self.caches.trim(CACHE_LIMIT);
 
-        let ctx = LintContext::build_cached(input, self.bound, self.plan_cap, &mut self.caches)?;
+        let ctx =
+            LintContext::build_cached(input, &state, self.bound, self.plan_cap, &mut self.caches)?;
         let mut outcome = RefreshOutcome::default();
         let mut diagnostics = Vec::new();
         let mut next_cache = Vec::new();

@@ -386,6 +386,65 @@ fn warm_product_revalidates_on_registry_change() {
     handle.join();
 }
 
+/// Publishes a two-request client and three services, warms its
+/// product, publishes a never-seen variant of `b` (which the client's
+/// plans bind), and returns the cache counters of the next `plan`
+/// reply as `(hits, misses)`.
+fn cache_counters_of_read_after_fresh_write(config: BrokerConfig) -> (u64, u64) {
+    let (handle, mut client) = spawn(config);
+    let scenario = "client c {\n\
+        open 1 { int[req -> eps]; ext[ok -> eps | no -> eps] };\n\
+        open 2 { int[req -> eps]; ext[ok -> eps | no -> eps] }\n\
+        }\n\
+        service a { ext[req -> int[ok -> eps | no -> eps]] }\n\
+        service b { ext[req -> int[ok -> eps]] }\n\
+        service z { ext[zzz -> eps] }\n";
+    let reply = client.publish_scenario(scenario).expect("publish reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let c = parse_scenario(scenario)
+        .expect("scenario parses")
+        .client("c")
+        .expect("c exists")
+        .to_string();
+    let warm = client.plan(&c).expect("plan reply");
+    assert_eq!(warm.bool_field("ok"), Some(true), "{warm}");
+    let reply = client
+        .publish("b", "#tick; ext[req -> int[ok -> eps]]", None)
+        .expect("publish reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let read = client.plan(&c).expect("plan reply");
+    assert_eq!(read.bool_field("ok"), Some(true), "{read}");
+    let stats = read.get("stats").expect("stats object");
+    assert_eq!(
+        stats.get("product").and_then(|p| p.u64_field("patched")),
+        Some(1),
+        "{read}"
+    );
+    let cache = stats.get("cache").expect("cache object");
+    let counters = (
+        cache.u64_field("hits").expect("hits"),
+        cache.u64_field("misses").expect("misses"),
+    );
+    handle.join();
+    counters
+}
+
+/// Lint and the products share one verdict table: on a gated broker
+/// the gate verified every plan the write touched, so the read that
+/// follows computes nothing. Ungated, the same read must compute the
+/// rows of the plans that bind the mutated location.
+#[test]
+fn gated_write_pays_every_verdict_its_next_read_needs() {
+    let gated = cache_counters_of_read_after_fresh_write(BrokerConfig {
+        deny_lint: Some(sufs_lint::Severity::Error),
+        ..BrokerConfig::default()
+    });
+    assert!(gated.0 > 0, "the read looked nothing up: {gated:?}");
+    assert_eq!(gated.1, 0, "the read recomputed what the gate paid for");
+    let ungated = cache_counters_of_read_after_fresh_write(BrokerConfig::default());
+    assert!(ungated.1 > 0, "ungated, the read must compute: {ungated:?}");
+}
+
 /// Runs with the PR-1 fault machinery: injected revocations trigger the
 /// verified fallback chain, and the broker reports the failover.
 #[test]

@@ -13,13 +13,16 @@
 //! * the compositional **report** (surviving candidates + verdicts, in
 //!   order) equals the pruned reference's report — both cut exactly
 //!   the branches a compliance witness condemns;
-//! * under a long seeded stream of `publish`/`retract` mutations, the
-//!   **incrementally patched** product stays byte-identical to a cold
-//!   rebuild at every step, without ever rebuilding from scratch.
+//! * under a long seeded stream of `publish`/`retract` mutations, each
+//!   reverted and re-applied, the **resident** product re-derived
+//!   through a shared verdict cache stays byte-identical to a cold
+//!   rebuild at every step, and a revisited state computes no verdict.
 
 use sufs_core::product::synthesize_one_shot;
 use sufs_core::scenario::parse_scenario;
-use sufs_core::{synthesize, verify, Engine, ProductStore, Synthesis, SynthesisOptions};
+use sufs_core::{
+    synthesize, verify, Engine, ProductStore, Synthesis, SynthesisOptions, VerifyCache,
+};
 use sufs_hexpr::builder::*;
 use sufs_hexpr::{Hist, Location, ParamValue, PolicyRef};
 use sufs_net::{Plan, Repository};
@@ -243,12 +246,29 @@ fn incrementally_patched_product_is_byte_identical_to_cold_rebuild() {
     repo.publish(slots[1].clone(), pool[1].clone());
 
     let store = ProductStore::new();
+    let cache = VerifyCache::new();
     let opts = compositional();
+    // The long-lived store re-derives through the shared cache; the
+    // one-shot store rebuilds cold. Byte-identical reports, every read.
+    let read = |repo: &Repository, label: &str| -> Synthesis {
+        let warm = store
+            .synthesize(&client, repo, &registry, &opts, Some(&cache))
+            .unwrap();
+        let cold = synthesize_one_shot(&client, repo, &registry, &opts, None).unwrap();
+        assert_eq!(
+            warm.report.verdicts(),
+            cold.report.verdicts(),
+            "{label}: the resident product diverged from a cold rebuild"
+        );
+        warm
+    };
+    read(&repo, "initial state");
     let mut r = StdRng::seed_from_u64(2026);
     let mut mutations = 0usize;
     while mutations < 200 {
         // One publish or retract per step; keep at least one service
         // published so the plan space never trivialises for long.
+        let before = repo.clone();
         let slot = &slots[r.gen_range(0..slots.len())];
         if repo.get(slot).is_some() && repo.len() > 1 && r.gen_bool(0.4) {
             repo.retract(slot);
@@ -257,43 +277,85 @@ fn incrementally_patched_product_is_byte_identical_to_cold_rebuild() {
             repo.publish(slot.clone(), service);
         }
         mutations += 1;
+        let after = repo.clone();
 
-        // The long-lived store patches; the one-shot store rebuilds
-        // cold. Byte-identical reports, every step.
-        let warm = store
-            .synthesize(&client, &repo, &registry, &opts, None)
-            .unwrap();
-        let cold = synthesize_one_shot(&client, &repo, &registry, &opts, None).unwrap();
-        assert_eq!(
-            warm.report.verdicts(),
-            cold.report.verdicts(),
-            "step {mutations}: patched product diverged from a cold rebuild"
-        );
         // And both agree with the enumerative oracle's valid set.
-        let oracle = verify(&client, &repo, &registry).unwrap();
+        let warm = read(&after, &format!("step {mutations}"));
+        let oracle = verify(&client, &after, &registry).unwrap();
         assert_eq!(
             warm.report.valid_plans().collect::<Vec<_>>(),
             oracle.valid_plans().collect::<Vec<_>>(),
             "step {mutations}: engines disagree after a mutation"
         );
+        // Revert, then re-apply: both states were read before, so
+        // every verdict row they need is already in the cache.
+        for (state, what) in [(&before, "reverted"), (&after, "re-applied")] {
+            let revisit = read(state, &format!("step {mutations} {what}"));
+            let computed = revisit.stats.cache.unwrap().verdict.1;
+            assert_eq!(computed, 0, "step {mutations} {what}: verdicts recomputed");
+        }
     }
-    // Incrementality: one build at first sight of the client, patches
-    // (never rebuilds) for all 200 mutations.
+    // One build at first sight of the client; every later read is a
+    // re-derivation or, when a mutation left every fingerprint intact
+    // (re-publishing an identical body), a read-off. Never a rebuild.
     let stats = store.stats();
-    assert_eq!(
-        stats.builds, 1,
-        "mutations must patch, not rebuild: {stats:?}"
-    );
-    // A mutation that leaves every fingerprint intact (re-publishing an
-    // identical body) is a read-off, not a patch; everything else must
-    // patch. Either way, never a rebuild.
+    assert_eq!(stats.builds, 1, "reads must not rebuild: {stats:?}");
     assert_eq!(
         stats.builds + stats.patches + stats.reads,
-        200,
-        "every mutation should resolve as a patch or a read-off: {stats:?}"
+        1 + 3 * 200,
+        "every read should resolve as a re-derivation or a read-off: {stats:?}"
     );
     assert!(
-        stats.patches >= 100,
-        "the stream should mostly force real patches: {stats:?}"
+        stats.patches >= 300,
+        "the stream should mostly force real re-derivations: {stats:?}"
     );
+}
+
+/// A product wider than the shared cache's bound still re-derives
+/// incrementally: one publish recomputes exactly the verdicts of the
+/// plans that bind the changed location, however many rows the cache
+/// evicted while the product was built.
+#[test]
+fn rederiving_a_product_wider_than_the_cache_recomputes_only_touched_plans() {
+    let client = Hist::seq_all((1..=2u32).map(|i| request(i, None, send("q", eps()))));
+    // 257² surviving plans > CACHE_LIMIT = 2¹⁶.
+    let width = 257usize;
+    assert!(width * width > sufs_core::cache::CACHE_LIMIT);
+    let mut repo = Repository::new();
+    for i in 0..width {
+        repo.publish(format!("s{i}"), recv("q", eps()));
+    }
+    let registry = PolicyRegistry::new();
+    let opts = SynthesisOptions {
+        plan_cap: width * width,
+        ..compositional()
+    };
+    let store = ProductStore::new();
+    let cache = VerifyCache::new();
+    let built = store
+        .synthesize(&client, &repo, &registry, &opts, Some(&cache))
+        .unwrap();
+    assert_eq!(built.stats.candidates, width * width);
+    assert_eq!(
+        built.stats.cache.unwrap().verdict,
+        (0, (width * width) as u64)
+    );
+
+    // A compliant variant of one location: the same plans survive, and
+    // the 2·width − 1 of them that bind `s0` read a changed region.
+    repo.publish("s0", offer([("q", eps()), ("zz", eps())]));
+    let rederived = store
+        .synthesize(&client, &repo, &registry, &opts, Some(&cache))
+        .unwrap();
+    let info = rederived.stats.product.unwrap();
+    assert!(info.reused);
+    assert_eq!(info.patched, 1);
+    assert_eq!(rederived.stats.candidates, width * width);
+    assert_eq!(
+        rederived.stats.cache.unwrap().verdict,
+        (0, (2 * width - 1) as u64),
+        "only the plans binding the changed location are re-verified"
+    );
+    assert_eq!(rederived.report.valid_plans().count(), width * width);
+    assert_eq!(store.stats().builds, 1);
 }
