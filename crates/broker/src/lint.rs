@@ -9,27 +9,25 @@
 //! set and returns the full report (human rendering plus the same
 //! structured JSON `sufs lint --json` emits) together with the
 //! incremental-reuse counters. With [`crate::server::BrokerConfig::
-//! deny_lint`] set, every client mutation is *gated*: the handler
-//! applies the change tentatively under its write lock, refreshes the
-//! engine, and — if the mutated state introduces any diagnostic at or
-//! above the deny severity that the pre-mutation report did not contain
-//! — reverts the change and answers a structured `lint_rejected` error
-//! carrying the offending diagnostics. Replayed and replicated records
-//! are exempt: the primary already gated them.
+//! deny_lint`] set, every client mutation is *gated*: the mutation
+//! pipeline backs up the state, applies the change tentatively under
+//! the state write guard, refreshes the engine, and — if the mutated
+//! state introduces any diagnostic at or above the deny severity that
+//! the pre-mutation report did not contain — restores the backup and
+//! answers a structured `lint_rejected` error carrying the offending
+//! diagnostics. Journal records (replayed or replicated) are exempt:
+//! the primary already gated them.
 //!
 //! An engine failure during gating fails **closed** (the mutation is
 //! reverted), so a gated broker never holds state it cannot analyze.
 
 use std::sync::atomic::Ordering;
 
-use sufs_hexpr::Hist;
 use sufs_lint::{Diagnostic, LintInput, LintReport, Severity};
-use sufs_net::Repository;
-use sufs_policy::PolicyRegistry;
 
 use crate::json::{self, Json};
 use crate::proto;
-use crate::server::{Shared, Source};
+use crate::server::{Shared, Source, State};
 
 /// Parses the `--deny-lint` CLI value.
 ///
@@ -59,12 +57,10 @@ pub fn deny_level_name(severity: Severity) -> &'static str {
 /// Counts the passes run/reused into the metrics.
 fn refresh(
     shared: &Shared,
-    repo: &Repository,
-    registry: &PolicyRegistry,
-    clients: &[(String, Hist)],
+    state: &State,
 ) -> Result<(sufs_lint::RefreshOutcome, LintReport), sufs_lint::LintError> {
     let mut engine = shared.lint.lock().expect("lint lock");
-    let outcome = engine.refresh(LintInput::new(clients, repo, registry))?;
+    let outcome = engine.refresh(LintInput::new(&state.clients, &state.repo, &state.registry))?;
     shared
         .metrics
         .lint_passes_run
@@ -85,10 +81,8 @@ pub(crate) fn diagnostic_json(d: &Diagnostic) -> Json {
 /// `lint`: refresh the engine and return the full report.
 pub(crate) fn cmd_lint(shared: &Shared) -> Json {
     shared.metrics.lint_requests.fetch_add(1, Ordering::Relaxed);
-    let repo = shared.repo.read().expect("repo lock");
-    let registry = shared.registry.read().expect("registry lock");
-    let clients = shared.clients.read().expect("clients lock");
-    match refresh(shared, &repo, &registry, &clients) {
+    let state = shared.state.read().expect("state lock");
+    match refresh(shared, &state) {
         Ok((outcome, report)) => {
             let diagnostics: Vec<Json> = report.diagnostics.iter().map(diagnostic_json).collect();
             proto::ok()
@@ -105,20 +99,20 @@ pub(crate) fn cmd_lint(shared: &Shared) -> Json {
 }
 
 /// Whether this request must be gated: a deny level is configured and
-/// the mutation came over the wire (replay and replication re-apply
-/// records the primary already gated).
+/// the mutation came over the wire (journal records were already gated
+/// by the primary).
 pub(crate) fn gate_active(shared: &Shared, source: Source) -> bool {
     shared.deny_lint.is_some() && source == Source::Client
 }
 
-/// The pre-mutation baseline a gated handler captures before applying.
+/// The pre-mutation baseline a gated mutation captures before applying.
 pub(crate) struct Gate {
     deny: Severity,
     before: LintReport,
 }
 
-/// Captures the pre-mutation report. Call with the mutation's write
-/// lock already held, so no other request can interleave between the
+/// Captures the pre-mutation report. Call with the state write guard
+/// already held, so no other request can interleave between the
 /// baseline and the tentative apply.
 ///
 /// # Errors
@@ -126,14 +120,9 @@ pub(crate) struct Gate {
 /// A ready-to-send error reply when the engine cannot analyze the
 /// *current* state — the gate fails closed and the caller must not
 /// apply the mutation.
-pub(crate) fn prepare(
-    shared: &Shared,
-    repo: &Repository,
-    registry: &PolicyRegistry,
-    clients: &[(String, Hist)],
-) -> Result<Gate, Json> {
+pub(crate) fn prepare(shared: &Shared, state: &State) -> Result<Gate, Json> {
     let deny = shared.deny_lint.expect("prepare requires a deny level");
-    match refresh(shared, repo, registry, clients) {
+    match refresh(shared, state) {
         Ok((_, before)) => Ok(Gate { deny, before }),
         Err(e) => Err(proto::error(
             "verify",
@@ -147,15 +136,9 @@ pub(crate) fn prepare(
 /// # Errors
 ///
 /// A ready-to-send `lint_rejected` (or, on engine failure, `verify`)
-/// reply; the caller must revert the mutation before sending it.
-pub(crate) fn check(
-    shared: &Shared,
-    gate: &Gate,
-    repo: &Repository,
-    registry: &PolicyRegistry,
-    clients: &[(String, Hist)],
-) -> Result<(), Json> {
-    let after = match refresh(shared, repo, registry, clients) {
+/// reply; the caller must restore its backup before sending it.
+pub(crate) fn check(shared: &Shared, gate: &Gate, state: &State) -> Result<(), Json> {
+    let after = match refresh(shared, state) {
         Ok((_, after)) => after,
         Err(e) => {
             return Err(proto::error(

@@ -149,46 +149,26 @@ impl Metrics {
 
     /// Records one synthesis call's wall time in the histogram.
     pub fn observe_synthesis(&self, elapsed: Duration) {
-        let ms = elapsed.as_millis() as u64;
-        let idx = HISTOGRAM_BOUNDS_MS
-            .iter()
-            .position(|&bound| ms <= bound)
-            .unwrap_or(BUCKETS - 1);
-        self.histogram[idx].fetch_add(1, Ordering::Relaxed);
+        bucket(&self.histogram, elapsed);
     }
 
     /// Records a startup recovery's wall time: the recovery-time
     /// histogram plus the `last_recovery_ms` gauge.
     pub fn observe_recovery(&self, elapsed: Duration) {
-        let ms = elapsed.as_millis() as u64;
-        let idx = HISTOGRAM_BOUNDS_MS
-            .iter()
-            .position(|&bound| ms <= bound)
-            .unwrap_or(BUCKETS - 1);
-        self.recovery_histogram[idx].fetch_add(1, Ordering::Relaxed);
+        let ms = bucket(&self.recovery_histogram, elapsed);
         self.last_recovery_ms.store(ms, Ordering::Relaxed);
     }
 
     /// Records one replicated record's ship→ack round trip as seen by
     /// the primary.
     pub fn observe_replication(&self, elapsed: Duration) {
-        let ms = elapsed.as_millis() as u64;
-        let idx = HISTOGRAM_BOUNDS_MS
-            .iter()
-            .position(|&bound| ms <= bound)
-            .unwrap_or(BUCKETS - 1);
-        self.replication_histogram[idx].fetch_add(1, Ordering::Relaxed);
+        bucket(&self.replication_histogram, elapsed);
     }
 
     /// Records one won election's detect→promoted wall time: the
     /// election histogram plus the `last_election_ms` gauge.
     pub fn observe_election(&self, elapsed: Duration) {
-        let ms = elapsed.as_millis() as u64;
-        let idx = HISTOGRAM_BOUNDS_MS
-            .iter()
-            .position(|&bound| ms <= bound)
-            .unwrap_or(BUCKETS - 1);
-        self.election_histogram[idx].fetch_add(1, Ordering::Relaxed);
+        let ms = bucket(&self.election_histogram, elapsed);
         self.last_election_ms.store(ms, Ordering::Relaxed);
     }
 
@@ -276,6 +256,19 @@ impl Metrics {
             .with("replication", replication)
             .with("lint", lint)
     }
+}
+
+/// Counts `elapsed` into the first bucket whose bound it does not
+/// exceed (the last bucket catches the rest) and returns it in whole
+/// milliseconds.
+fn bucket(histogram: &[AtomicU64; BUCKETS], elapsed: Duration) -> u64 {
+    let ms = elapsed.as_millis() as u64;
+    let idx = HISTOGRAM_BOUNDS_MS
+        .iter()
+        .position(|&bound| ms <= bound)
+        .unwrap_or(BUCKETS - 1);
+    histogram[idx].fetch_add(1, Ordering::Relaxed);
+    ms
 }
 
 #[cfg(test)]

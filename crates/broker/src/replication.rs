@@ -9,7 +9,7 @@
 //! [`crate::snapshot::write`] persists — followed by the live stream of
 //! journal records, each shipped as the same `{seq, req, reply}` tuple
 //! the on-disk journal holds. The follower applies every record through
-//! the same request handlers startup replay uses, journals it under the
+//! the same mutation pipeline startup replay uses, journals it under the
 //! *primary's* sequence number, and acknowledges the applied sequence.
 //! Because bootstrap replaces the follower's entire state, a node that
 //! diverged (e.g. an old primary that applied mutations which never
@@ -32,9 +32,9 @@
 //! # Ordering
 //!
 //! Records are broadcast to follower queues *while the WAL append lock
-//! is held*, and appends happen while the mutated resource's write lock
-//! is held, so every follower observes records in exactly the journal
-//! order. Follower registration takes the same resource → dedup → wal →
+//! is held*, and appends happen while the state write guard is held,
+//! so every follower observes records in exactly the journal order.
+//! Follower registration takes the same state → dedup → wal →
 //! followers lock chain as the snapshotter, which freezes the journal
 //! tip while the bootstrap document is rendered: a joining follower can
 //! neither miss a record nor receive one twice (records at or below the
@@ -99,7 +99,7 @@ use sufs_rng::{Rng, SeedableRng, StdRng};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::proto::{self, encode_frame, read_frame, write_frame};
-use crate::server::{handle_request_from, BrokerConfig, Shared, Source};
+use crate::server::{handle_request_from, BrokerConfig, Shared, Source, State};
 use crate::snapshot;
 
 /// Frames a slow follower may have queued before the primary declares
@@ -638,7 +638,7 @@ impl Replication {
 
     /// Blocks until `seq` is quorum-acknowledged, the timeout passes,
     /// or the broker drains. Called with no locks held (the mutation's
-    /// resource write lock excepted).
+    /// state write guard excepted).
     pub(crate) fn wait_quorum(&self, seq: u64, shutting_down: &AtomicBool) -> bool {
         if self.needed_acks() == 0 {
             self.committed_seq.fetch_max(seq, Ordering::SeqCst);
@@ -775,13 +775,17 @@ pub(crate) fn serve_replica(stream: &mut TcpStream, request: &Json, shared: &Sha
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".to_owned());
     let (follower, handshake) = {
-        let repo = shared.repo.read().expect("repo lock");
-        let registry = shared.registry.read().expect("registry lock");
-        let clients = shared.clients.read().expect("clients lock");
+        let state = shared.state.read().expect("state lock");
         let dedup = d.dedup.lock().expect("dedup lock");
         let wal = d.wal.lock().expect("wal lock");
         let covered = wal.next_seq().saturating_sub(1);
-        let doc = snapshot::render_doc(covered, &repo, &registry, &clients, &dedup.export());
+        let doc = snapshot::render_doc(
+            covered,
+            &state.repo,
+            &state.registry,
+            &state.clients,
+            &dedup.export(),
+        );
         let advertise = request.str_field("advertise").map(str::to_owned);
         let follower = Arc::new(FollowerConn::new(peer, write_half, covered, advertise));
         shared
@@ -1019,18 +1023,25 @@ fn repoint_inline(shared: &Shared, upstream: &mut String, hint: &str) {
 /// journal does not contain is discarded here.
 fn bootstrap(shared: &Shared, doc: &Json) -> io::Result<()> {
     let snap = snapshot::parse_doc(doc)?;
-    let mut repo = shared.repo.write().expect("repo lock");
-    let mut registry = shared.registry.write().expect("registry lock");
-    let mut clients = shared.clients.write().expect("clients lock");
     let covered = snap.covered_seq;
-    *repo = snap.repository;
-    *registry = snap.registry;
-    *clients = snap.clients;
+    let mut state = shared.state.write().expect("state lock");
+    *state = State {
+        repo: snap.repository,
+        registry: snap.registry,
+        clients: snap.clients,
+    };
     if let Some(d) = shared.durability.as_ref() {
         let mut dedup = d.dedup.lock().expect("dedup lock");
         dedup.replace(snap.dedup);
         let mut wal = d.wal.lock().expect("wal lock");
-        snapshot::write(&d.dir, covered, &repo, &registry, &clients, &dedup.export())?;
+        snapshot::write(
+            &d.dir,
+            covered,
+            &state.repo,
+            &state.registry,
+            &state.clients,
+            &dedup.export(),
+        )?;
         wal.truncate()?;
         wal.ensure_seq_at_least(covered + 1);
     }
@@ -1039,7 +1050,7 @@ fn bootstrap(shared: &Shared, doc: &Json) -> io::Result<()> {
 }
 
 /// Applies one replicated record: re-run the request through the
-/// regular handlers (as startup replay does), journal it under the
+/// mutation pipeline (as startup replay does), journal it under the
 /// primary's sequence number, and record the *primary's* reply in the
 /// idempotency window so a client retry answered here matches what the
 /// primary said.
@@ -1059,7 +1070,7 @@ fn apply_replicated(shared: &Shared, record: &Json) -> io::Result<()> {
         // the snapshot already covers it.
         return Ok(());
     }
-    let local = handle_request_from(request, shared, Source::Replication);
+    let local = handle_request_from(request, shared, Source::Record);
     if local.bool_field("ok") != Some(true) && reply.bool_field("ok") == Some(true) {
         eprintln!("sufs-broker: replicated record {seq} diverged from the primary: {local}");
     }

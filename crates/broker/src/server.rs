@@ -15,14 +15,18 @@
 //!
 //! # Concurrency model
 //!
-//! One thread per admitted connection. `plan`/`run` requests hold the
-//! repository read lock for the duration of the query, so many queries
-//! proceed in parallel; mutations take the write lock, so a query sees
-//! either the whole mutation or none of it, and the product it reads
-//! is re-derived against exactly the state it sees. Admission control is
-//! explicit: past `max_clients` concurrent connections the broker
-//! *replies* `busy` and closes — it never silently stalls the accept
-//! queue.
+//! One thread per admitted connection. The repository, the policy
+//! registry and the registered clients — the state a plan's validity
+//! is judged against — sit behind one `RwLock<State>`. `plan`/`run`
+//! requests hold its read guard for the duration of the query, so many
+//! queries proceed in parallel. Every mutation runs one pipeline: parse
+//! outside the lock, then dedup, lint gate, apply and seal under the
+//! write guard, so a query sees either the whole mutation or none of
+//! it, and the product it reads is re-derived against exactly the state
+//! it sees. Lock order, everywhere: `state` → `lint` → `dedup` → `wal`
+//! → `repl.followers`. Admission control is explicit: past
+//! `max_clients` concurrent connections the broker *replies* `busy` and
+//! closes — it never silently stalls the accept queue.
 //!
 //! # Durability (opt-in)
 //!
@@ -31,7 +35,7 @@
 //! before its reply goes out** ([`crate::wal`]); the journal is
 //! periodically compacted into an atomic snapshot
 //! ([`crate::snapshot`]), and startup replays snapshot + journal
-//! suffix through the same request handlers the wire uses. A bounded
+//! suffix through the same mutation pipeline the wire uses. A bounded
 //! idempotency window keyed by client `req_id`s answers retried
 //! mutations with their recorded replies, making retries exactly-once.
 //! Without a state directory nothing here runs — the broker behaves
@@ -70,7 +74,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use sufs_core::plans::DEFAULT_PLAN_CAP;
-use sufs_core::scenario::parse_scenario;
+use sufs_core::scenario::{parse_scenario, Scenario};
 use sufs_core::{Engine, ProductStore, SynthesisOptions, VerifyCache};
 use sufs_hexpr::{parse_hist, Hist, Location};
 use sufs_lint::{LintEngine, Severity};
@@ -232,12 +236,12 @@ impl DedupWindow {
 
 /// The durable half of a broker running with a state directory.
 ///
-/// Lock order, everywhere: resource lock (`repo`/`registry`) →
-/// `dedup` → `wal` → `repl.followers`. Mutation handlers append to the
-/// journal while still holding the resource write lock, so journal
-/// order is exactly apply order; the snapshotter takes both resource
-/// *read* locks first, which blocks every mutation and freezes the
-/// journal tip while the state is captured. Record broadcast and
+/// Lock order, everywhere: `state` → `lint` → `dedup` → `wal` →
+/// `repl.followers`. A mutation appends to the journal while still
+/// holding the state write guard, so journal order is exactly apply
+/// order; the snapshotter takes the state *read* guard first, which
+/// blocks every mutation and freezes the journal tip while the state
+/// is captured. Record broadcast and
 /// follower registration both happen under the `wal` lock, which is
 /// what makes the replication stream exactly journal order with no
 /// gaps at join time.
@@ -251,17 +255,16 @@ pub(crate) struct Durability {
 }
 
 /// Where a request entered the broker; decides journaling, quorum
-/// waits, and the follower role check.
+/// waits, dedup, the lint gate and the follower role check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Source {
-    /// Over the wire: journal + broadcast + (maybe) quorum wait, and
-    /// reject mutations on a follower.
+    /// Over the wire: dedup + lint gate + journal + broadcast + (maybe)
+    /// quorum wait, and reject mutations on a follower.
     Client,
-    /// Startup journal replay: re-apply without re-journaling.
-    Replay,
-    /// The upstream's record stream: apply; the caller journals under
-    /// the primary's sequence number.
-    Replication,
+    /// A journal record, re-applied at startup or shipped by the
+    /// upstream: apply only; the caller keeps the recorded reply and
+    /// sequence number.
+    Record,
 }
 
 /// What `Broker::spawn` found on disk, applied once `Shared` exists.
@@ -274,18 +277,21 @@ struct RecoveryPlan {
     dir: PathBuf,
 }
 
-/// Everything the connection threads share.
-///
-/// Lock order among the resource locks: `repo` → `registry` →
-/// `clients` → `lint` (then the durability chain, see [`Durability`]).
-/// `cmd_retract_policy` takes a `repo` *read* lock before its
-/// `registry` write lock for exactly this reason.
-pub(crate) struct Shared {
-    pub(crate) repo: RwLock<Repository>,
-    pub(crate) registry: RwLock<PolicyRegistry>,
+/// The broker's mutable state: the repository and policies a plan's
+/// validity is judged against, plus the registered clients.
+#[derive(Clone, Default)]
+pub(crate) struct State {
+    pub(crate) repo: Repository,
+    pub(crate) registry: PolicyRegistry,
     /// Registered client behaviours (from `publish_scenario`), sorted
     /// by name — the client set repository-wide lint passes analyze.
-    pub(crate) clients: RwLock<Vec<(String, Hist)>>,
+    pub(crate) clients: Vec<(String, Hist)>,
+}
+
+/// Everything the connection threads share. Lock order: see
+/// [`Durability`].
+pub(crate) struct Shared {
+    pub(crate) state: RwLock<State>,
     /// Projection, compliance and plan-verdict rows shared by every
     /// product build and by the lint engine; keyed by content, so never
     /// invalidated.
@@ -355,9 +361,7 @@ impl Broker {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
-        let mut repo = Repository::new();
-        let mut registry = PolicyRegistry::new();
-        let mut clients: Vec<(String, Hist)> = Vec::new();
+        let mut state = State::default();
         let mut recovery: Option<RecoveryPlan> = None;
         let durability = match &config.state_dir {
             None => None,
@@ -369,9 +373,11 @@ impl Broker {
                 let mut from_snapshot = false;
                 if let Some(snap) = snapshot::load(dir)? {
                     covered_seq = snap.covered_seq;
-                    repo = snap.repository;
-                    registry = snap.registry;
-                    clients = snap.clients;
+                    state = State {
+                        repo: snap.repository,
+                        registry: snap.registry,
+                        clients: snap.clients,
+                    };
                     for (id, reply) in snap.dedup {
                         dedup.insert(id, reply);
                     }
@@ -407,9 +413,7 @@ impl Broker {
         let repl = Replication::new(&config);
         let cache = Arc::new(VerifyCache::new());
         let shared = Arc::new(Shared {
-            repo: RwLock::new(repo),
-            registry: RwLock::new(registry),
-            clients: RwLock::new(clients),
+            state: RwLock::new(state),
             cache: Arc::clone(&cache),
             products: ProductStore::new(),
             lint: Mutex::new(LintEngine::with_cache(cache)),
@@ -537,18 +541,18 @@ impl Drop for BrokerHandle {
     }
 }
 
-/// Re-applies the journal suffix through the regular request handlers
-/// and logs a one-line recovery summary. Runs before the acceptor
-/// starts, so no client can observe a half-recovered repository.
+/// Re-applies the journal suffix through the mutation pipeline and
+/// logs a one-line recovery summary. Runs before the acceptor starts,
+/// so no client can observe a half-recovered repository.
 fn replay_journal(shared: &Shared, plan: RecoveryPlan) {
     let d = shared
         .durability
         .as_ref()
         .expect("replay requires durability");
     for record in &plan.pending {
-        // The handler re-applies the mutation; all four mutation
-        // commands are upserts/deletes, so re-application is exact.
-        let _ = handle_request_from(&record.request, shared, Source::Replay);
+        // Every mutation is an upsert or a delete, so re-application is
+        // exact.
+        let _ = handle_request_from(&record.request, shared, Source::Record);
         if let Some(id) = record.request.str_field("req_id") {
             // The *recorded* reply wins over the recomputed one: it is
             // what the client was actually told, and a retry must see
@@ -590,17 +594,15 @@ fn replay_journal(shared: &Shared, plan: RecoveryPlan) {
 /// path reports the same error on demand.
 fn warm_start(shared: &Shared) {
     let started = Instant::now();
-    let repo = shared.repo.read().expect("repo lock");
-    let registry = shared.registry.read().expect("registry lock");
-    let clients = shared.clients.read().expect("clients lock");
+    let state = shared.state.read().expect("state lock");
     let mut warmed = 0usize;
-    for (_, client) in clients.iter() {
+    for (_, client) in &state.clients {
         if shared
             .products
             .read_valid(
                 client,
-                &repo,
-                &registry,
+                &state.repo,
+                &state.registry,
                 &store_opts(shared.plan_cap),
                 Some(&shared.cache),
                 0,
@@ -614,19 +616,19 @@ fn warm_start(shared: &Shared) {
         .metrics
         .warmed_products
         .store(warmed as u64, Ordering::Relaxed);
-    if !clients.is_empty() {
+    if !state.clients.is_empty() {
         eprintln!(
             "sufs-broker: warm start: {warmed}/{} client product(s) rebuilt, {:.1}ms",
-            clients.len(),
+            state.clients.len(),
             started.elapsed().as_secs_f64() * 1e3,
         );
     }
 }
 
-/// Answers a retried mutation from the idempotency window. Callers
-/// hold the mutated resource's write lock, so a hit here can never
-/// interleave with the original application. Replayed and replicated
-/// records never dedup — their sources already deduplicated them.
+/// Answers a retried mutation from the idempotency window. The caller
+/// holds the state write guard, so a hit here can never interleave
+/// with the original application. Journal records never dedup — their
+/// sources already deduplicated them.
 ///
 /// On a quorum-mode broker the recorded reply's `"quorum"` field is
 /// re-evaluated against the *current* committed mark: a mutation that
@@ -657,8 +659,9 @@ fn dedup_check(shared: &Shared, request: &Json, source: Source) -> Option<Json> 
 /// Seals a successful client mutation: journals it (fsync **before**
 /// the reply leaves the handler) when it changed state, broadcasts the
 /// record to every follower, waits for quorum when configured, and
-/// records its `req_id` in the idempotency window. Callers still hold
-/// the resource write lock, so journal order is exactly apply order.
+/// records its `req_id` in the idempotency window. The caller still
+/// holds the state write guard, so journal order is exactly apply
+/// order.
 fn finish_mutation(
     shared: &Shared,
     request: &Json,
@@ -725,10 +728,9 @@ fn finish_mutation(
 
 /// Compacts the journal into a snapshot once it crosses the configured
 /// thresholds. Runs on the connection thread *after* its handler
-/// returned (no handler locks held); takes `repo.read` →
-/// `registry.read` → `dedup` → `wal` — with both resource read locks
-/// held no mutation is in flight, so the journal tip is frozen and
-/// matches the captured state exactly.
+/// returned (no handler locks held); takes `state.read` → `dedup` →
+/// `wal` — with the state read guard held no mutation is in flight, so
+/// the journal tip is frozen and matches the captured state exactly.
 fn maybe_snapshot(shared: &Shared) {
     let Some(d) = shared.durability.as_ref() else {
         return;
@@ -747,15 +749,20 @@ fn maybe_snapshot(shared: &Shared) {
     if d.snapshotting.swap(true, Ordering::SeqCst) {
         return; // another connection thread is already compacting
     }
-    let repo = shared.repo.read().expect("repo lock");
-    let registry = shared.registry.read().expect("registry lock");
-    let clients = shared.clients.read().expect("clients lock");
+    let state = shared.state.read().expect("state lock");
     let dedup = d.dedup.lock().expect("dedup lock");
     let mut wal = d.wal.lock().expect("wal lock");
     let covered = wal.next_seq().saturating_sub(1);
     let entries = dedup.export();
-    let result = snapshot::write(&d.dir, covered, &repo, &registry, &clients, &entries)
-        .and_then(|()| wal.truncate());
+    let result = snapshot::write(
+        &d.dir,
+        covered,
+        &state.repo,
+        &state.registry,
+        &state.clients,
+        &entries,
+    )
+    .and_then(|()| wal.truncate());
     match result {
         Ok(()) => {
             shared.metrics.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -913,13 +920,12 @@ pub(crate) fn handle_request_from(request: &Json, shared: &Shared, source: Sourc
     };
     match cmd {
         "ping" => proto::ok().with("pong", true),
-        "publish" => cmd_publish(request, shared, source),
-        "publish_scenario" => cmd_publish_scenario(request, shared, source),
-        "retract" => cmd_retract(request, shared, source),
-        "retract_policy" => cmd_retract_policy(request, shared, source),
+        "publish" | "publish_scenario" | "retract" | "retract_policy" => {
+            mutate(cmd, request, shared, source).unwrap_or_else(|reply| reply)
+        }
         "repo" => cmd_repo(shared),
-        "plan" => cmd_plan(request, shared),
-        "run" => cmd_run(request, shared),
+        "plan" => cmd_plan(request, shared).unwrap_or_else(|reply| reply),
+        "run" => cmd_run(request, shared).unwrap_or_else(|reply| reply),
         "lint" => crate::lint::cmd_lint(shared),
         "stats" => cmd_stats(shared),
         "promote" => replication::cmd_promote(shared),
@@ -934,254 +940,206 @@ pub(crate) fn handle_request_from(request: &Json, shared: &Shared, source: Sourc
     }
 }
 
-/// Rejects client mutations on a follower; replayed and replicated
-/// records always apply (that is what a follower is *for*).
-fn reject_on_follower(shared: &Shared, source: Source) -> Option<Json> {
-    if source == Source::Client && !shared.repl.is_primary() {
-        return Some(replication::not_primary(shared));
-    }
-    None
-}
-
 fn require_str<'a>(request: &'a Json, field: &str) -> Result<&'a str, Json> {
     request
         .str_field(field)
         .ok_or_else(|| proto::error("bad_request", format!("missing string field `{field}`")))
 }
 
-/// `publish`: parse, well-formedness-check and insert a service.
-fn cmd_publish(request: &Json, shared: &Shared, source: Source) -> Json {
-    if let Some(reject) = reject_on_follower(shared, source) {
-        return reject;
+/// An optional request field read with `read` (`Json::as_u64`,
+/// `Json::as_bool`, ...): `None` when absent, `bad_request` when present
+/// with any other shape — a malformed option is refused, never read as
+/// its default.
+fn optional<'a, T>(
+    request: &'a Json,
+    field: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, Json> {
+    request
+        .get(field)
+        .map(|value| {
+            read(value).ok_or_else(|| {
+                proto::error("bad_request", format!("malformed field `{field}`: {value}"))
+            })
+        })
+        .transpose()
+}
+
+/// A count that fits this platform's `usize`.
+fn as_usize(value: &Json) -> Option<usize> {
+    value.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+/// One state-changing request, parsed and ready to apply.
+enum Mutation {
+    /// `publish`: insert or replace one service.
+    Publish {
+        location: String,
+        service: Hist,
+        capacity: Option<usize>,
+    },
+    /// `publish_scenario`: merge every `service`, `policy` and client
+    /// declaration of a scenario text.
+    Scenario(Scenario),
+    /// `retract`: withdraw a service; new plans stop seeing it
+    /// immediately.
+    Retract(Location),
+    /// `retract_policy`: unregister a policy automaton; histories that
+    /// reference it fail to resolve from then on.
+    RetractPolicy(String),
+}
+
+impl Mutation {
+    /// Parses the request of mutation command `cmd`; runs before any
+    /// lock is taken. Missing or malformed fields are reported before
+    /// parse errors.
+    fn parse(cmd: &str, request: &Json) -> Result<Mutation, Json> {
+        match cmd {
+            "publish" => {
+                let location = require_str(request, "location")?;
+                let text = require_str(request, "service")?;
+                let capacity = optional(request, "capacity", as_usize)?;
+                let service = parse_hist(text).map_err(|e| proto::error("parse", e.to_string()))?;
+                Ok(Mutation::Publish {
+                    location: location.to_owned(),
+                    service,
+                    capacity,
+                })
+            }
+            "publish_scenario" => {
+                let text = require_str(request, "text")?;
+                parse_scenario(text)
+                    .map(Mutation::Scenario)
+                    .map_err(|e| proto::error("parse", e.to_string()))
+            }
+            "retract" => Ok(Mutation::Retract(Location::new(require_str(
+                request, "location",
+            )?))),
+            "retract_policy" => Ok(Mutation::RetractPolicy(
+                require_str(request, "name")?.to_owned(),
+            )),
+            other => unreachable!("`{other}` is not a mutation command"),
+        }
     }
-    let location = match require_str(request, "location") {
-        Ok(l) => l,
-        Err(e) => return e,
-    };
-    let text = match require_str(request, "service") {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    let service = match parse_hist(text) {
-        Ok(h) => h,
-        Err(e) => return proto::error("parse", e.to_string()),
-    };
-    let capacity = request.u64_field("capacity").map(|c| c as usize);
-    let mut repo = shared.repo.write().expect("repo lock");
-    if let Some(hit) = dedup_check(shared, request, source) {
-        return hit;
-    }
-    // The lint gate needs the registry and client set alongside the
-    // repository; both read locks follow `repo` in the lock order.
-    let gate_locks = crate::lint::gate_active(shared, source).then(|| {
-        (
-            shared.registry.read().expect("registry lock"),
-            shared.clients.read().expect("clients lock"),
-        )
-    });
-    let gate = match &gate_locks {
-        None => None,
-        Some((registry, clients)) => match crate::lint::prepare(shared, &repo, registry, clients) {
-            Ok(g) => Some(g),
-            Err(reply) => return reply,
-        },
-    };
-    let saved = gate.as_ref().map(|_| repo.clone());
-    let result = match capacity {
-        Some(cap) => repo.try_publish_bounded(location, service, cap),
-        None => repo.try_publish(location, service),
-    };
-    match result {
-        Ok(event) => {
-            if let (Some(gate), Some((registry, clients))) = (&gate, &gate_locks) {
-                if let Err(reply) = crate::lint::check(shared, gate, &repo, registry, clients) {
-                    *repo = saved.expect("saved state when gating");
-                    return reply;
+
+    /// Applies the mutation in place and returns its reply and whether
+    /// the state changed. A `publish` always counts as a change, so a
+    /// re-publish of the same body is journaled like any other.
+    ///
+    /// # Errors
+    ///
+    /// An `ill_formed` reply for a service that fails the
+    /// well-formedness check; the state is left untouched.
+    fn apply(self, state: &mut State) -> Result<(Json, bool), Json> {
+        match self {
+            Mutation::Publish {
+                location,
+                service,
+                capacity,
+            } => {
+                let event = match capacity {
+                    Some(cap) => state.repo.try_publish_bounded(location, service, cap),
+                    None => state.repo.try_publish(location, service),
                 }
+                .map_err(|e| proto::error("ill_formed", e.to_string()))?;
+                Ok((proto::ok().with("event", event.to_string()), true))
             }
-            shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-            let reply = proto::ok().with("event", event.to_string());
-            finish_mutation(shared, request, reply, true, source)
+            Mutation::Scenario(scenario) => {
+                let mut services = 0u64;
+                for (loc, service) in scenario.repository.iter() {
+                    // The scenario parser already ran the
+                    // well-formedness check.
+                    match scenario.repository.capacity(loc).flatten() {
+                        Some(cap) => {
+                            state
+                                .repo
+                                .try_publish_bounded(loc.clone(), service.clone(), cap)
+                        }
+                        None => state.repo.try_publish(loc.clone(), service.clone()),
+                    }
+                    .expect("scenario services are well-formed");
+                    services += 1;
+                }
+                let mut policies = 0u64;
+                for automaton in scenario.registry.iter() {
+                    state.registry.register(automaton.clone());
+                    policies += 1;
+                }
+                // Scenario clients join the broker's registered client
+                // set (upsert by name, kept sorted) — the population the
+                // repository-wide lint passes analyze.
+                let mut clients = 0u64;
+                for (name, hist) in scenario.clients {
+                    match state
+                        .clients
+                        .binary_search_by(|(n, _)| n.as_str().cmp(name.as_str()))
+                    {
+                        Ok(i) => state.clients[i].1 = hist,
+                        Err(i) => state.clients.insert(i, (name, hist)),
+                    }
+                    clients += 1;
+                }
+                let reply = proto::ok()
+                    .with("services", services)
+                    .with("policies", policies)
+                    .with("clients", clients);
+                Ok((reply, services + policies + clients > 0))
+            }
+            Mutation::Retract(location) => {
+                let event = state.repo.retract(&location);
+                let reply = proto::ok()
+                    .with("event", event.to_string())
+                    .with("changed", event.changed());
+                Ok((reply, event.changed()))
+            }
+            Mutation::RetractPolicy(name) => {
+                let removed = state.registry.remove(&name).is_some();
+                Ok((proto::ok().with("changed", removed), removed))
+            }
         }
-        Err(e) => proto::error("ill_formed", e.to_string()),
     }
 }
 
-/// `publish_scenario`: merge every `service` and `policy` declaration of
-/// a scenario text into the live repository/registry in one request.
-fn cmd_publish_scenario(request: &Json, shared: &Shared, source: Source) -> Json {
-    if let Some(reject) = reject_on_follower(shared, source) {
-        return reject;
+/// The one mutation path: reject on a follower, parse outside the
+/// lock, then — under the state write guard — answer a retry from the
+/// idempotency window, apply, let the `--deny-lint` gate judge the
+/// change (reverting it on rejection), and seal it. Only a gated
+/// mutation pays for the state backup.
+fn mutate(cmd: &str, request: &Json, shared: &Shared, source: Source) -> Result<Json, Json> {
+    // Journal records always apply: that is what a follower is *for*.
+    if source == Source::Client && !shared.repl.is_primary() {
+        return Err(replication::not_primary(shared));
     }
-    let text = match require_str(request, "text") {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    let scenario = match parse_scenario(text) {
-        Ok(sc) => sc,
-        Err(e) => return proto::error("parse", e.to_string()),
-    };
-    // Take every lock before mutating anything, so no query
-    // interleaves between the repository, registry and client updates.
-    let mut repo = shared.repo.write().expect("repo lock");
-    let mut registry = shared.registry.write().expect("registry lock");
-    let mut clients = shared.clients.write().expect("clients lock");
+    let mutation = Mutation::parse(cmd, request)?;
+    let mut state = shared.state.write().expect("state lock");
     if let Some(hit) = dedup_check(shared, request, source) {
-        return hit;
+        return Ok(hit);
     }
-    let gate = if crate::lint::gate_active(shared, source) {
-        match crate::lint::prepare(shared, &repo, &registry, &clients) {
-            Ok(g) => Some(g),
-            Err(reply) => return reply,
-        }
-    } else {
-        None
-    };
-    let saved = gate
-        .as_ref()
-        .map(|_| (repo.clone(), registry.clone(), clients.clone()));
-    let mut services = 0u64;
-    for (loc, service) in scenario.repository.iter() {
-        // The scenario parser already ran the well-formedness check.
-        match scenario.repository.capacity(loc).flatten() {
-            Some(cap) => repo.try_publish_bounded(loc.clone(), service.clone(), cap),
-            None => repo.try_publish(loc.clone(), service.clone()),
-        }
-        .expect("scenario services are well-formed");
-        services += 1;
-    }
-    let mut policies = 0u64;
-    for automaton in scenario.registry.iter() {
-        registry.register(automaton.clone());
-        policies += 1;
-    }
-    // Scenario clients join the broker's registered client set (upsert
-    // by name, kept sorted) — the population the repository-wide lint
-    // passes analyze.
-    let mut client_count = 0u64;
-    for (name, hist) in &scenario.clients {
-        match clients.binary_search_by(|(n, _)| n.as_str().cmp(name.as_str())) {
-            Ok(i) => clients[i].1 = hist.clone(),
-            Err(i) => clients.insert(i, (name.clone(), hist.clone())),
-        }
-        client_count += 1;
-    }
-    let changed = services + policies + client_count > 0;
+    let gate = crate::lint::gate_active(shared, source)
+        .then(|| crate::lint::prepare(shared, &state).map(|gate| (gate, state.clone())))
+        .transpose()?;
+    let (reply, changed) = mutation.apply(&mut state)?;
     if changed {
-        if let Some(gate) = &gate {
-            if let Err(reply) = crate::lint::check(shared, gate, &repo, &registry, &clients) {
-                let (r, g, c) = saved.expect("saved state when gating");
-                *repo = r;
-                *registry = g;
-                *clients = c;
-                return reply;
+        if let Some((gate, backup)) = gate {
+            if let Err(reply) = crate::lint::check(shared, &gate, &state) {
+                *state = backup;
+                return Err(reply);
             }
         }
         shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
     }
-    let reply = proto::ok()
-        .with("services", services)
-        .with("policies", policies)
-        .with("clients", client_count);
-    finish_mutation(shared, request, reply, changed, source)
-}
-
-/// `retract`: withdraw a service; new plans stop seeing it immediately.
-fn cmd_retract(request: &Json, shared: &Shared, source: Source) -> Json {
-    if let Some(reject) = reject_on_follower(shared, source) {
-        return reject;
-    }
-    let location = match require_str(request, "location") {
-        Ok(l) => Location::new(l),
-        Err(e) => return e,
-    };
-    let mut repo = shared.repo.write().expect("repo lock");
-    if let Some(hit) = dedup_check(shared, request, source) {
-        return hit;
-    }
-    let gate_locks = crate::lint::gate_active(shared, source).then(|| {
-        (
-            shared.registry.read().expect("registry lock"),
-            shared.clients.read().expect("clients lock"),
-        )
-    });
-    let gate = match &gate_locks {
-        None => None,
-        Some((registry, clients)) => match crate::lint::prepare(shared, &repo, registry, clients) {
-            Ok(g) => Some(g),
-            Err(reply) => return reply,
-        },
-    };
-    let saved = gate.as_ref().map(|_| repo.clone());
-    let event = repo.retract(&location);
-    if event.changed() {
-        if let (Some(gate), Some((registry, clients))) = (&gate, &gate_locks) {
-            if let Err(reply) = crate::lint::check(shared, gate, &repo, registry, clients) {
-                *repo = saved.expect("saved state when gating");
-                return reply;
-            }
-        }
-        shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-    }
-    let reply = proto::ok()
-        .with("event", event.to_string())
-        .with("changed", event.changed());
-    finish_mutation(shared, request, reply, event.changed(), source)
-}
-
-/// `retract_policy`: unregister a policy automaton; histories that
-/// reference it fail to resolve from then on.
-fn cmd_retract_policy(request: &Json, shared: &Shared, source: Source) -> Json {
-    if let Some(reject) = reject_on_follower(shared, source) {
-        return reject;
-    }
-    let name = match require_str(request, "name") {
-        Ok(n) => n,
-        Err(e) => return e,
-    };
-    // Lock order is `repo` → `registry`, so the gate's repository view
-    // must be taken *before* the registry write lock.
-    let gate_repo =
-        crate::lint::gate_active(shared, source).then(|| shared.repo.read().expect("repo lock"));
-    let mut registry = shared.registry.write().expect("registry lock");
-    if let Some(hit) = dedup_check(shared, request, source) {
-        return hit;
-    }
-    let gate_clients = gate_repo
-        .as_ref()
-        .map(|_| shared.clients.read().expect("clients lock"));
-    let gate = match (&gate_repo, &gate_clients) {
-        (Some(repo), Some(clients)) => {
-            match crate::lint::prepare(shared, repo, &registry, clients) {
-                Ok(g) => Some(g),
-                Err(reply) => return reply,
-            }
-        }
-        _ => None,
-    };
-    let saved = gate.as_ref().and_then(|_| registry.get(name).cloned());
-    let removed = registry.remove(name).is_some();
-    if removed {
-        if let (Some(gate), Some(repo), Some(clients)) = (&gate, &gate_repo, &gate_clients) {
-            if let Err(reply) = crate::lint::check(shared, gate, repo, &registry, clients) {
-                registry.register(saved.expect("removed policy was fetched before removal"));
-                return reply;
-            }
-        }
-        shared.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-    }
-    let reply = proto::ok().with("changed", removed);
-    finish_mutation(shared, request, reply, removed, source)
+    Ok(finish_mutation(shared, request, reply, changed, source))
 }
 
 /// `repo`: the current contents, for clients and smoke tests.
 fn cmd_repo(shared: &Shared) -> Json {
-    let repo = shared.repo.read().expect("repo lock");
-    let registry = shared.registry.read().expect("registry lock");
-    let client_names: Vec<Json> = shared
-        .clients
-        .read()
-        .expect("clients lock")
+    let state = shared.state.read().expect("state lock");
+    let State {
+        repo,
+        registry,
+        clients,
+    } = &*state;
+    let client_names: Vec<Json> = clients
         .iter()
         .map(|(name, _)| Json::str(name.clone()))
         .collect();
@@ -1238,71 +1196,66 @@ pub fn verdict_json(verdict: &sufs_core::PlanVerdict) -> Json {
 
 /// `plan`: read the client's valid plans off its composed product in
 /// the shared store; the broker's core query.
-fn cmd_plan(request: &Json, shared: &Shared) -> Json {
-    let text = match require_str(request, "client") {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    let client = match parse_hist(text) {
-        Ok(h) => h,
-        Err(e) => return proto::error("parse", e.to_string()),
-    };
+fn cmd_plan(request: &Json, shared: &Shared) -> Result<Json, Json> {
+    let text = require_str(request, "client")?;
+    let client = parse_hist(text).map_err(|e| proto::error("parse", e.to_string()))?;
     // One engine answers. A caller naming another one expects a
     // different report shape, so it is refused rather than served.
     if let Some(engine) = request.get("engine") {
         if engine.as_str() != Some(Engine::Compositional.as_str()) {
-            return proto::error(
+            return Err(proto::error(
                 "bad_request",
                 format!("field `engine` must be \"compositional\", got {engine}"),
-            );
+            ));
         }
     }
     // A request may lower the daemon's plan cap, never raise it: the
     // product walk runs under the store lock.
-    let plan_cap = match request.u64_field("plan_cap") {
+    let plan_cap = match optional(request, "plan_cap", Json::as_u64)? {
         Some(cap) => usize::try_from(cap).map_or(shared.plan_cap, |c| c.min(shared.plan_cap)),
         None => shared.plan_cap,
     };
+    let max_valid = optional(request, "max_valid", Json::as_u64)?;
     let opts = store_opts(plan_cap);
-    let repo = shared.repo.read().expect("repo lock");
-    let registry = shared.registry.read().expect("registry lock");
+    let state = shared.state.read().expect("state lock");
     let start = Instant::now();
-    if let Some(k) = request.u64_field("max_valid") {
+    if let Some(k) = max_valid {
         // The production query shape — "give me a valid orchestration":
         // the first k valid plans plus the total count, read straight
         // off the resident product without materialising the verdict
         // map, so the reply and its cost stay constant however wide the
         // plan space is.
-        let read = shared.products.read_valid(
-            &client,
-            &repo,
-            &registry,
-            &opts,
-            Some(&shared.cache),
-            usize::try_from(k).unwrap_or(usize::MAX),
-        );
-        let (valid, total, stats) = match read {
-            Ok(r) => r,
-            Err(e) => return proto::error("verify", e.to_string()),
-        };
+        let (valid, total, stats) = shared
+            .products
+            .read_valid(
+                &client,
+                &state.repo,
+                &state.registry,
+                &opts,
+                Some(&shared.cache),
+                usize::try_from(k).unwrap_or(usize::MAX),
+            )
+            .map_err(|e| proto::error("verify", e.to_string()))?;
         shared.metrics.observe_synthesis(start.elapsed());
         shared.metrics.plans.fetch_add(1, Ordering::Relaxed);
         let valid: Vec<Json> = valid.iter().map(|p| Json::str(p.to_string())).collect();
-        return proto::ok()
+        return Ok(proto::ok()
             .with("valid", valid)
             .with("valid_total", total)
-            .with("stats", synth_stats_json(&stats));
+            .with("stats", synth_stats_json(&stats)));
     }
     // The full report: every candidate surviving the compliance cut,
     // with its verdict.
-    let synthesis =
-        match shared
-            .products
-            .synthesize(&client, &repo, &registry, &opts, Some(&shared.cache))
-        {
-            Ok(s) => s,
-            Err(e) => return proto::error("verify", e.to_string()),
-        };
+    let synthesis = shared
+        .products
+        .synthesize(
+            &client,
+            &state.repo,
+            &state.registry,
+            &opts,
+            Some(&shared.cache),
+        )
+        .map_err(|e| proto::error("verify", e.to_string()))?;
     shared.metrics.observe_synthesis(start.elapsed());
     shared.metrics.plans.fetch_add(1, Ordering::Relaxed);
     let verdicts: Vec<Json> = synthesis
@@ -1316,10 +1269,10 @@ fn cmd_plan(request: &Json, shared: &Shared) -> Json {
         .valid_plans()
         .map(|p| Json::str(p.to_string()))
         .collect();
-    proto::ok()
+    Ok(proto::ok()
         .with("valid", valid)
         .with("verdicts", verdicts)
-        .with("stats", synth_stats_json(&synthesis.stats))
+        .with("stats", synth_stats_json(&synthesis.stats)))
 }
 
 /// [`sufs_core::SynthStats`] as a wire object. Shared by the broker's
@@ -1370,40 +1323,30 @@ fn parse_plan_spec(spec: &str) -> Result<Plan, String> {
 
 /// `run`: execute a client against the live repository, with the PR-1
 /// fault/recovery machinery available over the wire.
-fn cmd_run(request: &Json, shared: &Shared) -> Json {
-    let text = match require_str(request, "client") {
-        Ok(t) => t,
-        Err(e) => return e,
+fn cmd_run(request: &Json, shared: &Shared) -> Result<Json, Json> {
+    let text = require_str(request, "client")?;
+    let client = parse_hist(text).map_err(|e| proto::error("parse", e.to_string()))?;
+    let faults = optional(request, "faults", Json::as_str)?
+        .map(FaultPlan::parse)
+        .transpose()
+        .map_err(|e| proto::error("bad_request", e))?;
+    let recover = optional(request, "recover", Json::as_bool)?.unwrap_or(false);
+    let choice = match optional(request, "committed", Json::as_bool)? {
+        Some(true) => ChoiceMode::Committed,
+        _ => ChoiceMode::Angelic,
     };
-    let client = match parse_hist(text) {
-        Ok(h) => h,
-        Err(e) => return proto::error("parse", e.to_string()),
+    let monitor = match optional(request, "monitor", Json::as_bool)? {
+        Some(true) => MonitorMode::Enforcing,
+        _ => MonitorMode::Audit,
     };
-    let faults = match request.str_field("faults") {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(f) => Some(f),
-            Err(e) => return proto::error("bad_request", e),
-        },
-        None => None,
-    };
-    let recover = request.bool_field("recover").unwrap_or(false);
-    let committed = request.bool_field("committed").unwrap_or(false);
-    let seed = request.u64_field("seed").unwrap_or(0);
-    let fuel = request
-        .u64_field("fuel")
-        .map(|f| f as usize)
-        .unwrap_or(shared.fuel);
+    let seed = optional(request, "seed", Json::as_u64)?.unwrap_or(0);
+    let fuel = optional(request, "fuel", as_usize)?.unwrap_or(shared.fuel);
+    let forced = optional(request, "plan", Json::as_str)?
+        .map(parse_plan_spec)
+        .transpose()
+        .map_err(|e| proto::error("bad_request", e))?;
 
-    let repo = shared.repo.read().expect("repo lock");
-    let registry = shared.registry.read().expect("registry lock");
-
-    let forced = match request.str_field("plan") {
-        Some(spec) => match parse_plan_spec(spec) {
-            Ok(p) => Some(p),
-            Err(e) => return proto::error("bad_request", e),
-        },
-        None => None,
-    };
+    let state = shared.state.read().expect("state lock");
     // The plan-sorted valid plans the run needs, read off the client's
     // product: the first one when no plan is forced, all of them as the
     // fallback chain when recovery is armed. No valid plan refuses an
@@ -1412,27 +1355,26 @@ fn cmd_run(request: &Json, shared: &Shared) -> Json {
     if forced.is_none() || recover {
         let k = if recover { usize::MAX } else { 1 };
         let start = Instant::now();
-        let read = shared.products.read_valid(
-            &client,
-            &repo,
-            &registry,
-            &store_opts(shared.plan_cap),
-            Some(&shared.cache),
-            k,
-        );
-        let (valid, _, stats) = match read {
-            Ok(r) => r,
-            Err(e) => return proto::error("verify", e.to_string()),
-        };
+        let (valid, _, stats) = shared
+            .products
+            .read_valid(
+                &client,
+                &state.repo,
+                &state.registry,
+                &store_opts(shared.plan_cap),
+                Some(&shared.cache),
+                k,
+            )
+            .map_err(|e| proto::error("verify", e.to_string()))?;
         shared.metrics.observe_synthesis(start.elapsed());
         if forced.is_none() && valid.is_empty() {
-            return proto::error(
+            return Err(proto::error(
                 "no_valid_plan",
                 format!(
                     "no valid plan among {} surviving candidate(s) for this client",
                     stats.candidates
                 ),
-            );
+            ));
         }
         chain = valid;
     }
@@ -1441,17 +1383,7 @@ fn cmd_run(request: &Json, shared: &Shared) -> Json {
         None => chain[0].clone(),
     };
 
-    let monitor = if request.bool_field("monitor").unwrap_or(false) {
-        MonitorMode::Enforcing
-    } else {
-        MonitorMode::Audit
-    };
-    let choice = if committed {
-        ChoiceMode::Committed
-    } else {
-        ChoiceMode::Angelic
-    };
-    let mut scheduler = Scheduler::new(&repo, &registry, monitor, choice);
+    let mut scheduler = Scheduler::new(&state.repo, &state.registry, monitor, choice);
     if let Some(f) = faults {
         scheduler = scheduler.with_faults(f);
     }
@@ -1461,10 +1393,9 @@ fn cmd_run(request: &Json, shared: &Shared) -> Json {
     let mut network = Network::new();
     network.add_client(Location::new("client"), client, plan.clone());
     let mut rng = StdRng::seed_from_u64(seed);
-    let result = match scheduler.run(network, &mut rng, fuel) {
-        Ok(r) => r,
-        Err(e) => return proto::error("verify", e.to_string()),
-    };
+    let result = scheduler
+        .run(network, &mut rng, fuel)
+        .map_err(|e| proto::error("verify", e.to_string()))?;
     shared.metrics.runs.fetch_add(1, Ordering::Relaxed);
     let recovered = matches!(result.outcome, Outcome::RecoveredVia { .. });
     if recovered {
@@ -1479,14 +1410,14 @@ fn cmd_run(request: &Json, shared: &Shared) -> Json {
         Outcome::FaultAbort { component } => format!("fault abort (component {component})"),
         Outcome::TimedOut { component } => format!("timed out (component {component})"),
     };
-    proto::ok()
+    Ok(proto::ok()
         .with("plan", plan.to_string())
         .with("outcome", outcome)
         .with("success", result.outcome.is_success())
         .with("recovered", recovered)
         .with("steps", result.trace.len())
         .with("faults", result.faults.len())
-        .with("violations", result.violations.len())
+        .with("violations", result.violations.len()))
 }
 
 /// `stats`: every counter plus the live cache hit-rate, the
@@ -1495,8 +1426,10 @@ fn cmd_run(request: &Json, shared: &Shared) -> Json {
 fn cmd_stats(shared: &Shared) -> Json {
     let cache = shared.cache.stats();
     let products = shared.products.stats();
-    let repo_len = shared.repo.read().expect("repo lock").len();
-    let clients_len = shared.clients.read().expect("clients lock").len();
+    let (repo_len, clients_len) = {
+        let state = shared.state.read().expect("state lock");
+        (state.repo.len(), state.clients.len())
+    };
     let mut reply = proto::ok()
         .with("services", repo_len)
         .with("clients", clients_len)

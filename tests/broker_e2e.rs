@@ -551,6 +551,83 @@ fn publish_rejects_ill_formed_and_unparsable_services() {
     handle.join();
 }
 
+/// An optional field sent with the wrong shape is a `bad_request`, never
+/// read as its default: a `capacity` of `-1`, `"2"` or `1.5` must not
+/// republish the service unbounded, and a malformed query option must
+/// not be served as if it were absent.
+#[test]
+fn malformed_optional_fields_are_rejected_not_defaulted() {
+    let (handle, mut client) = spawn(BrokerConfig::default());
+    let service = service_pool()[0].to_string();
+    let reply = client.publish("s", &service, Some(1)).expect("reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let before = client.repo().expect("repo reply").to_string();
+    assert!(before.contains("\"capacity\":1"), "{before}");
+
+    let booking = booking_client().to_string();
+    let publish = |capacity: Json| {
+        Json::obj()
+            .with("cmd", "publish")
+            .with("location", "s")
+            .with("service", service.as_str())
+            .with("capacity", capacity)
+    };
+    let query = |cmd: &str, field: &str, value: Json| {
+        Json::obj()
+            .with("cmd", cmd)
+            .with("client", booking.as_str())
+            .with(field, value)
+    };
+    let mut bad = vec![
+        ("capacity", publish(Json::Num(-1.0))),
+        ("capacity", publish(Json::str("2"))),
+        ("capacity", publish(Json::Num(1.5))),
+        ("capacity", publish(Json::Null)),
+    ];
+    for (cmd, field, value) in [
+        ("plan", "max_valid", Json::str("1")),
+        ("plan", "plan_cap", Json::Num(-2.0)),
+        ("plan", "plan_cap", Json::Num(0.5)),
+        ("plan", "plan_cap", Json::Bool(true)),
+        ("run", "fuel", Json::Num(0.5)),
+        ("run", "seed", Json::str("7")),
+        ("run", "recover", Json::str("true")),
+        ("run", "committed", Json::Num(1.0)),
+        ("run", "monitor", Json::Null),
+        ("run", "faults", Json::Num(0.2)),
+        ("run", "plan", Json::Bool(false)),
+    ] {
+        bad.push((field, query(cmd, field, value)));
+    }
+    for (field, request) in &bad {
+        let reply = client.request(request).expect("reply");
+        assert_eq!(
+            reply.str_field("kind"),
+            Some("bad_request"),
+            "{request} -> {reply}"
+        );
+        assert!(
+            reply.str_field("error").unwrap().contains(field),
+            "{request} -> {reply}"
+        );
+    }
+    // Nothing was published, and the bound survived.
+    assert_eq!(client.repo().expect("repo reply").to_string(), before);
+
+    // Well-shaped values are still served.
+    let reply = client.request(&publish(Json::from(2u64))).expect("reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let reply = client
+        .request(&query("plan", "max_valid", Json::from(1u64)))
+        .expect("reply");
+    assert_eq!(reply.u64_field("valid_total"), Some(1), "{reply}");
+    let reply = client
+        .request(&query("run", "recover", Json::Bool(true)))
+        .expect("reply");
+    assert_eq!(reply.bool_field("success"), Some(true), "{reply}");
+    handle.join();
+}
+
 /// Admission control: past `max_clients` the broker *replies* `busy`
 /// rather than stalling the accept queue; capacity freed by a closing
 /// client is reusable.

@@ -246,6 +246,24 @@ fn broker_lint_matches_cold_relint_over_random_wire_mutations() {
     handle.wait();
 }
 
+/// Asserts a `lint_rejected` reply introducing `code`, and that the
+/// mutation left no trace: the `repo` reply (capacities and policies
+/// included) is byte-identical to `before` and the report has no error.
+fn assert_rejected_and_reverted(client: &mut BrokerClient, reply: &Json, code: &str, before: &str) {
+    assert_eq!(reply.str_field("kind"), Some("lint_rejected"), "{reply}");
+    let introduced = reply
+        .get("diagnostics")
+        .and_then(Json::as_arr)
+        .expect("rejection carries diagnostics");
+    assert!(
+        introduced.iter().any(|d| d.str_field("code") == Some(code)),
+        "{reply}"
+    );
+    assert_eq!(client.repo().expect("repo reply").to_string(), before);
+    let lint = client.lint().expect("lint reply");
+    assert_eq!(lint.u64_field("errors"), Some(0), "{lint}");
+}
+
 /// The gate scenario: one client, a main provider and a backup.
 const GATED: &str = "
     client c { open 1 { int[pay -> eps] } }
@@ -303,6 +321,33 @@ fn deny_lint_gate_rejects_mutations_that_empty_a_plan_space() {
     assert_eq!(reply.u64_field("errors"), Some(0), "{reply}");
     let repo = client.repo().expect("repo reply");
     assert!(repo.to_string().contains("s_main"), "{repo}");
+
+    // A gated publish that breaks the sole provider is reverted whole:
+    // its body *and* the capacity it carried (SUFS007 again).
+    let reply = client
+        .publish("s_main", "ext[pay -> eps]", Some(2))
+        .expect("publish reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let before = client.repo().expect("repo reply").to_string();
+    assert!(before.contains("\"capacity\":2"), "{before}");
+    let reply = client
+        .publish("s_main", "ext[refund -> eps]", None)
+        .expect("publish reply");
+    assert_rejected_and_reverted(&mut client, &reply, "SUFS007", &before);
+
+    // A gated retract_policy that leaves a client's annotation
+    // unresolved (SUFS008, an error) is reverted too.
+    let reply = client
+        .publish_scenario(
+            "policy once { start q0; offending bad; q0 -- charge -> q1; q1 -- charge -> bad; }
+             client watched { open 2 phi once { int[pay -> eps] } }",
+        )
+        .expect("scenario reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let before = client.repo().expect("repo reply").to_string();
+    assert!(before.contains("\"policies\":[\"once\"]"), "{before}");
+    let reply = client.retract_policy("once").expect("retract_policy reply");
+    assert_rejected_and_reverted(&mut client, &reply, "SUFS008", &before);
 
     // A gated publish_scenario is vetted the same way: a newcomer whose
     // request nobody serves is turned away wholesale.
