@@ -16,11 +16,12 @@
 //!   relation over exposed requests, with inadmissible branches cut
 //!   *during construction* (never expanded);
 //! * the **materialized verdicts** — each surviving plan's security and
-//!   progress checks, run once and stored.
+//!   progress checks, run once and stored, together with the list of
+//!   valid plans in plan order.
 //!
-//! A query then *reads off* valid plans (any, all up to the cap, or
-//! first-k) from the materialized map in time proportional to the
-//! result, not to the candidate space.
+//! A query then *reads off* valid plans: the first `k` from the valid
+//! list in time proportional to `k`, or the whole report from the
+//! verdict map; neither walks the candidate space.
 //!
 //! # Incremental maintenance
 //!
@@ -113,6 +114,8 @@ struct Product {
     edges: BTreeMap<RequestId, BTreeMap<Location, bool>>,
     /// Every surviving plan with its materialized verdict.
     verdicts: BTreeMap<Plan, PlanVerdict>,
+    /// The valid plans among `verdicts`, in plan order.
+    valid: Vec<Plan>,
     /// Subtrees cut while enumerating the surviving set.
     pruned_subtrees: usize,
 }
@@ -196,11 +199,17 @@ fn build_product(
         };
         verdicts.insert(plan, verdict);
     }
+    let valid = verdicts
+        .values()
+        .filter(|v| v.is_valid())
+        .map(|v| v.plan.clone())
+        .collect();
     Ok(Product {
         state: state.fingerprints().clone(),
         prune_active: bodies.is_some(),
         edges,
         verdicts,
+        valid,
         pruned_subtrees,
     })
 }
@@ -309,10 +318,11 @@ impl ProductStore {
     }
 
     /// The production read-off: the first `k` valid plans plus the
-    /// total valid count, straight from the resident product. Unlike
-    /// [`ProductStore::synthesize`] this never materialises the full
-    /// verdict map, so a query costs the same however wide the plan
-    /// space is — the broker's `max_valid` fast path.
+    /// total valid count, straight from the resident product. A product
+    /// lists its valid plans when it is built, so on a current product
+    /// this copies `k` plans and reads one length, however wide the plan
+    /// space is — the broker's `max_valid` fast path. A query that
+    /// first builds or re-derives the product also pays for that.
     ///
     /// # Errors
     ///
@@ -328,17 +338,7 @@ impl ProductStore {
     ) -> Result<(Vec<Plan>, usize, SynthStats), VerifyError> {
         let ((valid, total), stats) =
             self.with_entry(client, repo, registry, opts, shared, |p| {
-                let mut valid = Vec::with_capacity(k.min(8));
-                let mut total = 0usize;
-                for v in p.verdicts.values() {
-                    if v.is_valid() {
-                        if valid.len() < k {
-                            valid.push(v.plan.clone());
-                        }
-                        total += 1;
-                    }
-                }
-                (valid, total)
+                (p.valid.iter().take(k).cloned().collect(), p.valid.len())
             })?;
         Ok((valid, total, stats))
     }

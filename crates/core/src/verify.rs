@@ -12,6 +12,15 @@
 //!    per-request compliance but also covers unbound requests and
 //!    cross-session blocking, and produces scheduler-level witnesses).
 //!
+//! Checks 2 and 3 share one exploration: [`SymGraph::explore`] walks the
+//! plan's symbolic state space once, breadth first, into a graph over
+//! integer state ids. Security is [`check_validity`] run over those ids,
+//! and progress is the graph's first stuck state with its breadth-first
+//! path. Both read the same witnesses the two literal walks
+//! ([`check_validity`] over [`sufs_net::SymState`]s, and
+//! [`sufs_net::find_stuck`]) would find; those walks survive as the
+//! differential oracle of `tests/verdict_equiv.rs`.
+//!
 //! A plan passing all three is *valid*: "switch off any run-time
 //! monitor, and live happily: nothing bad will happen" (§5).
 //!
@@ -53,12 +62,15 @@ use sufs_contract::{compliant, Contract, ContractError, StuckWitness};
 use sufs_hexpr::requests::requests;
 use sufs_hexpr::wf::{self, WfError};
 use sufs_hexpr::{Hist, Location, RequestId};
-use sufs_net::symbolic::{find_stuck, symbolic_successors, StuckState, SymState};
+use sufs_net::symbolic::{StuckState, SymGraph};
 use sufs_net::{Plan, Repository};
 use sufs_policy::validity::{check_validity, SecurityViolation, ValidityError, Verdict};
 use sufs_policy::PolicyRegistry;
 
-/// The default bound on symbolic states explored per plan.
+/// The bound on symbolic states per plan. It caps the explored graph
+/// (a larger one is [`ValidityError::BoundExceeded`], reported before
+/// any policy is resolved) and, separately, the security product of
+/// graph states and policy-automaton tracks.
 pub const DEFAULT_STATE_BOUND: usize = 1 << 18;
 
 /// One reason a plan is invalid.
@@ -155,7 +167,9 @@ pub enum VerifyError {
     Validity(ValidityError),
     /// Too many candidate plans.
     PlanSpace(PlanSpaceExceeded),
-    /// Symbolic exploration exceeded the state bound.
+    /// A joint multi-client exploration exceeded its state bound
+    /// ([`crate::multi`]); a single plan's exploration reports
+    /// [`ValidityError::BoundExceeded`] instead.
     BoundExceeded(usize),
 }
 
@@ -250,10 +264,15 @@ pub(crate) fn check_plan(
         }
     }
 
-    // 2. Security: model-check the symbolic state space.
+    // 2–3. One exploration of the symbolic state space serves both
+    //      remaining checks.
+    let graph = SymGraph::explore("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND)
+        .map_err(ValidityError::BoundExceeded)?;
+
+    // 2. Security: model-check the explored graph over its state ids.
     let verdict = check_validity(
-        SymState::initial("client", client.clone()),
-        |s| symbolic_successors(s, plan, repo),
+        0usize,
+        |&id| graph.edges(id).to_vec(),
         registry,
         DEFAULT_STATE_BOUND,
     )?;
@@ -261,17 +280,12 @@ pub(crate) fn check_plan(
         violations.push(Violation::Security(v));
     }
 
-    // 3. Progress: no reachable stuck configuration.
-    match find_stuck("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND) {
-        Ok(Some(stuck)) => {
-            // Missing bindings already reported more precisely.
-            let already = violations.iter().any(Violation::is_binding_failure);
-            if !already {
-                violations.push(Violation::Stuck(stuck));
-            }
+    // 3. Progress: no reachable stuck configuration. Missing bindings
+    //    already explain a stuck composition more precisely.
+    if let Some(stuck) = graph.stuck() {
+        if !violations.iter().any(Violation::is_binding_failure) {
+            violations.push(Violation::Stuck(stuck));
         }
-        Ok(None) => {}
-        Err(bound) => return Err(VerifyError::BoundExceeded(bound)),
     }
 
     Ok(PlanVerdict {

@@ -174,17 +174,21 @@ pub fn sess_steps_with_load(
 ) -> Vec<SessStep> {
     let mut out = Vec::new();
     match sess {
-        Sess::Leaf(loc, h) => leaf_steps(loc, h, plan, repo, load, &mut out),
+        Sess::Leaf(loc, h) => leaf_steps(loc, &successors(h), plan, repo, load, &mut out),
         Sess::Pair(s1, s2) => {
+            // A top-level leaf's own transitions feed rules Session,
+            // Synch and Close alike, so they are computed once.
+            let moves1 = leaf_moves(s1);
+            let moves2 = leaf_moves(s2);
             // Rule Session: either element evolves on its own.
-            for step in sess_steps_with_load(s1, plan, repo, load) {
+            for step in element_steps(s1, moves1.as_deref(), plan, repo, load) {
                 out.push(SessStep {
                     action: step.action,
                     delta: step.delta,
                     next: Sess::pair(step.next, (**s2).clone()),
                 });
             }
-            for step in sess_steps_with_load(s2, plan, repo, load) {
+            for step in element_steps(s2, moves2.as_deref(), plan, repo, load) {
                 out.push(SessStep {
                     action: step.action,
                     delta: step.delta,
@@ -192,55 +196,84 @@ pub fn sess_steps_with_load(
                 });
             }
             // Rules Synch and Close need both parties at top level.
-            if let (Sess::Leaf(l1, h1), Sess::Leaf(l2, h2)) = (&**s1, &**s2) {
-                synch_steps(l1, h1, l2, h2, &mut out);
-                close_steps(l1, h1, l2, h2, false, &mut out);
+            if let (Sess::Leaf(l1, h1), Sess::Leaf(l2, h2), Some(m1), Some(m2)) =
+                (&**s1, &**s2, &moves1, &moves2)
+            {
+                synch_steps(l1, m1, l2, m2, &mut out);
+                close_steps(l1, m1, h2, &mut out);
                 // [S, S'] ≡ [S', S]: the closer may be the right element.
-                close_steps(l2, h2, l1, h1, true, &mut out);
+                close_steps(l2, m2, h1, &mut out);
             }
         }
     }
     out
 }
 
+/// The stand-alone transitions of `sess` when it is a leaf.
+fn leaf_moves(sess: &Sess) -> Option<Vec<(Label, Hist)>> {
+    match sess {
+        Sess::Leaf(_, h) => Some(successors(h)),
+        Sess::Pair(..) => None,
+    }
+}
+
+/// The steps of one element of a session: a leaf's come from its
+/// `moves`, as [`leaf_moves`] computed them.
+fn element_steps(
+    sess: &Sess,
+    moves: Option<&[(Label, Hist)]>,
+    plan: &Plan,
+    repo: &Repository,
+    load: &std::collections::BTreeMap<Location, usize>,
+) -> Vec<SessStep> {
+    match (sess, moves) {
+        (Sess::Leaf(loc, _), Some(moves)) => {
+            let mut out = Vec::new();
+            leaf_steps(loc, moves, plan, repo, load, &mut out);
+            out
+        }
+        _ => sess_steps_with_load(sess, plan, repo, load),
+    }
+}
+
 fn leaf_steps(
     loc: &Location,
-    h: &Hist,
+    moves: &[(Label, Hist)],
     plan: &Plan,
     repo: &Repository,
     load: &std::collections::BTreeMap<Location, usize>,
     out: &mut Vec<SessStep>,
 ) {
-    for (label, h2) in successors(h) {
+    for (label, h2) in moves {
         match label {
             Label::Ev(e) => out.push(SessStep {
                 action: StepAction::Event {
                     loc: loc.clone(),
                     event: e.clone(),
                 },
-                delta: vec![HistoryItem::Ev(e)],
-                next: Sess::leaf(loc.clone(), h2),
+                delta: vec![HistoryItem::Ev(e.clone())],
+                next: Sess::leaf(loc.clone(), h2.clone()),
             }),
             Label::FrameOpen(p) => out.push(SessStep {
                 action: StepAction::FrameOpen {
                     loc: loc.clone(),
                     policy: p.clone(),
                 },
-                delta: vec![HistoryItem::Open(p)],
-                next: Sess::leaf(loc.clone(), h2),
+                delta: vec![HistoryItem::Open(p.clone())],
+                next: Sess::leaf(loc.clone(), h2.clone()),
             }),
             Label::FrameClose(p) => out.push(SessStep {
                 action: StepAction::FrameClose {
                     loc: loc.clone(),
                     policy: p.clone(),
                 },
-                delta: vec![HistoryItem::Close(p)],
-                next: Sess::leaf(loc.clone(), h2),
+                delta: vec![HistoryItem::Close(p.clone())],
+                next: Sess::leaf(loc.clone(), h2.clone()),
             }),
             Label::Open(r, policy) => {
                 // Rule Open: the plan selects the service, the repository
                 // provides a fresh copy of its behaviour.
-                let Some(server_loc) = plan.service_for(r) else {
+                let Some(server_loc) = plan.service_for(*r) else {
                     continue;
                 };
                 let Some(server) = repo.get(server_loc) else {
@@ -259,14 +292,14 @@ fn leaf_steps(
                     .collect();
                 out.push(SessStep {
                     action: StepAction::Open {
-                        request: r,
+                        request: *r,
                         policy: policy.clone(),
                         client: loc.clone(),
                         server: server_loc.clone(),
                     },
                     delta,
                     next: Sess::pair(
-                        Sess::leaf(loc.clone(), h2),
+                        Sess::leaf(loc.clone(), h2.clone()),
                         Sess::leaf(server_loc.clone(), server.clone()),
                     ),
                 });
@@ -278,11 +311,17 @@ fn leaf_steps(
     }
 }
 
-fn synch_steps(l1: &Location, h1: &Hist, l2: &Location, h2: &Hist, out: &mut Vec<SessStep>) {
-    for (lab1, n1) in successors(h1) {
-        let Label::Chan(c1, d1) = &lab1 else { continue };
-        for (lab2, n2) in successors(h2) {
-            let Label::Chan(c2, d2) = &lab2 else { continue };
+fn synch_steps(
+    l1: &Location,
+    moves1: &[(Label, Hist)],
+    l2: &Location,
+    moves2: &[(Label, Hist)],
+    out: &mut Vec<SessStep>,
+) {
+    for (lab1, n1) in moves1 {
+        let Label::Chan(c1, d1) = lab1 else { continue };
+        for (lab2, n2) in moves2 {
+            let Label::Chan(c2, d2) = lab2 else { continue };
             if c1 == c2 && *d1 == d2.co() {
                 let (sender, receiver) = if *d1 == Dir::Out {
                     (l1.clone(), l2.clone())
@@ -306,19 +345,16 @@ fn synch_steps(l1: &Location, h1: &Hist, l2: &Location, h2: &Hist, out: &mut Vec
     }
 }
 
-/// Rule Close with `closer` firing `close_{r,φ}` and `other` being the
-/// discarded server. `swapped` only affects nothing semantically — the
-/// session is commutative — but keeps the successor deterministic.
+/// Rule Close with the party at `closer_loc` (whose transitions are
+/// `closer_moves`) firing `close_{r,φ}`, and `other` being the discarded
+/// server.
 fn close_steps(
     closer_loc: &Location,
-    closer: &Hist,
-    other_loc: &Location,
+    closer_moves: &[(Label, Hist)],
     other: &Hist,
-    _swapped: bool,
     out: &mut Vec<SessStep>,
 ) {
-    let _ = other_loc;
-    for (label, h2) in successors(closer) {
+    for (label, h2) in closer_moves {
         let Label::Close(r, policy) = label else {
             continue;
         };
@@ -328,17 +364,17 @@ fn close_steps(
             .into_iter()
             .map(HistoryItem::Close)
             .collect();
-        if let Some(p) = &policy {
+        if let Some(p) = policy {
             delta.push(HistoryItem::Close(p.clone()));
         }
         out.push(SessStep {
             action: StepAction::Close {
-                request: r,
-                policy,
+                request: *r,
+                policy: policy.clone(),
                 client: closer_loc.clone(),
             },
             delta,
-            next: Sess::leaf(closer_loc.clone(), h2),
+            next: Sess::leaf(closer_loc.clone(), h2.clone()),
         });
     }
 }
