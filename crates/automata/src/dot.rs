@@ -1,10 +1,9 @@
-//! Graphviz DOT rendering of automata and transition systems.
+//! Graphviz DOT rendering of automata.
 
 use std::fmt::Display;
 use std::fmt::Write as _;
 
 use crate::dfa::Dfa;
-use crate::lts::Lts;
 use crate::nfa::Nfa;
 use crate::Symbol;
 
@@ -57,29 +56,9 @@ pub fn dfa_to_dot<S: Symbol + Display>(dfa: &Dfa<S>) -> String {
     out
 }
 
-/// Renders an explored LTS in DOT format; sink states are double circles.
-pub fn lts_to_dot<K: Eq, L: Display>(lts: &Lts<K, L>) -> String {
-    let mut out = String::from("digraph lts {\n  rankdir=LR;\n");
-    let sinks = lts.sink_states();
-    for q in 0..lts.len() {
-        let shape = if sinks.contains(&q) {
-            "doublecircle"
-        } else {
-            "circle"
-        };
-        let _ = writeln!(out, "  q{q} [shape={shape}];");
-    }
-    for (s, l, t) in lts.iter_edges() {
-        let _ = writeln!(out, "  q{s} -> q{t} [label=\"{l}\"];");
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lts::Explorer;
 
     #[test]
     fn nfa_dot_structure() {
@@ -104,15 +83,5 @@ mod tests {
         d.add_transition(q0, 'a', q1);
         let dot = dfa_to_dot(&d);
         assert!(dot.contains("q0 -> q1 [label=\"a\"]"));
-    }
-
-    #[test]
-    fn lts_dot_structure() {
-        let lts = Explorer::default()
-            .explore(0u8, |&n| if n == 0 { vec![("go", 1)] } else { vec![] })
-            .unwrap();
-        let dot = lts_to_dot(&lts);
-        assert!(dot.contains("q0 -> q1 [label=\"go\"]"));
-        assert!(dot.contains("q1 [shape=doublecircle]"));
     }
 }

@@ -1,18 +1,26 @@
-//! Generic finite automata and transition-system substrate.
+//! Generic finite automata.
 //!
-//! The static analyses of *Secure and Unfailing Services* reduce both
-//! security (§3.1) and compliance (§4, Theorem 1) to reachability/emptiness
-//! questions on finite automata. This crate provides the shared machinery:
+//! The static analyses of *Secure and Unfailing Services* reduce security
+//! (§3.1) to emptiness and inclusion questions on finite automata over
+//! events. This crate provides that machinery, used by the policy
+//! automata (`sufs-policy`'s automata bridge) and lint's policy
+//! subsumption:
 //!
 //! * [`nfa::Nfa`] — nondeterministic finite automata over an arbitrary
 //!   symbol type, with subset construction;
 //! * [`dfa::Dfa`] — deterministic automata with product, complement,
 //!   emptiness (with witness words), Hopcroft minimisation and language
 //!   equivalence;
-//! * [`lts::Explorer`] — a bounded breadth-first state-space explorer used
-//!   to build the transition systems of contracts, sessions and networks
-//!   from a successor function;
 //! * [`dot`] — Graphviz rendering for debugging and documentation.
+//!
+//! Transition systems given by a successor function — the LTS of a
+//! history expression, the contract product of Definition 5 and the
+//! symbolic state space of a plan — are not built here but by the one
+//! bounded explorer `sufs_hexpr::lts::Lts::explore`, which every crate
+//! that builds them already depends on. Only searches that stop early
+//! (`check_validity`, `find_stuck`, `find_joint_deadlock`,
+//! `compliant_coinductive`) keep loops of their own; the explorer's
+//! module docs say why.
 //!
 //! # Example
 //!
@@ -42,11 +50,9 @@
 
 pub mod dfa;
 pub mod dot;
-pub mod lts;
 pub mod nfa;
 
 pub use dfa::Dfa;
-pub use lts::Explorer;
 pub use nfa::Nfa;
 
 /// The trait bound every automaton symbol must satisfy.

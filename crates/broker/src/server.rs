@@ -75,8 +75,8 @@ use std::time::{Duration, Instant};
 
 use sufs_core::plans::DEFAULT_PLAN_CAP;
 use sufs_core::scenario::{parse_scenario, Scenario};
-use sufs_core::{Engine, ProductStore, SynthesisOptions, VerifyCache};
-use sufs_hexpr::{parse_hist, Hist, Location};
+use sufs_core::{Engine, ProductStore, SynthesisOptions, VerifyCache, VerifyError};
+use sufs_hexpr::{parse_hist, wf, Hist, Location};
 use sufs_lint::{LintEngine, Severity};
 use sufs_net::faults::RecoveryTable;
 use sufs_net::{ChoiceMode, FaultPlan, MonitorMode, Network, Outcome, Plan, Repository, Scheduler};
@@ -1345,6 +1345,10 @@ fn cmd_run(request: &Json, shared: &Shared) -> Result<Json, Json> {
         .map(parse_plan_spec)
         .transpose()
         .map_err(|e| proto::error("bad_request", e))?;
+    // An ill-formed client may have an infinite state space: refuse it
+    // as `plan` does, whether or not a forced plan skips the product.
+    wf::check(&client)
+        .map_err(|e| proto::error("verify", VerifyError::IllFormedClient(e).to_string()))?;
 
     let state = shared.state.read().expect("state lock");
     // The plan-sorted valid plans the run needs, read off the client's

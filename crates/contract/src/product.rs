@@ -6,11 +6,10 @@
 //! compliant. Theorem 1: `H₁ ⊢ H₂` iff the product's language is empty,
 //! i.e. no final state is reachable.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use crate::contract::Contract;
-use sufs_hexpr::{Channel, Dir, Hist};
+use sufs_hexpr::{Channel, Dir, Hist, Lts};
 
 /// Why a product state is stuck (final).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,13 +78,14 @@ impl fmt::Display for StuckWitness {
     }
 }
 
-/// The product automaton of two contracts (Definition 5).
+/// The product automaton of two contracts (Definition 5), built by the
+/// one explorer ([`Lts::explore`]).
 #[derive(Debug, Clone)]
 pub struct ProductAutomaton {
-    states: Vec<(Hist, Hist)>,
-    /// τ-edges annotated with the synchronised channel and the direction
-    /// from the client's perspective.
-    edges: Vec<Vec<(Channel, Dir, usize)>>,
+    /// Pairs of contract states; τ-edges annotated with the synchronised
+    /// channel and the direction from the client's perspective.
+    lts: Lts<(Hist, Hist), (Channel, Dir)>,
+    /// Why each state is stuck, if it is final.
     finals: Vec<Option<StuckReason>>,
 }
 
@@ -96,61 +96,40 @@ impl ProductAutomaton {
     /// states, so construction always terminates.
     pub fn build(client: &Contract, server: &Contract) -> ProductAutomaton {
         let start = (client.hist().clone(), server.hist().clone());
-        let mut index: HashMap<(Hist, Hist), usize> = HashMap::new();
-        let mut states = vec![start.clone()];
-        let mut edges: Vec<Vec<(Channel, Dir, usize)>> = Vec::new();
-        let mut finals: Vec<Option<StuckReason>> = Vec::new();
-        index.insert(start, 0);
-        let mut queue = VecDeque::from([0usize]);
-        while let Some(id) = queue.pop_front() {
-            let (h1, h2) = states[id].clone();
-            let reason = stuck_reason(&h1, &h2);
+        let mut finals = Vec::new();
+        // The explorer visits states once each in id order, so `finals`
+        // is indexed by state id.
+        let lts = Lts::explore(start, usize::MAX, |(h1, h2)| {
+            let steps1 = Contract::wrap(h1.clone()).steps();
+            let steps2 = Contract::wrap(h2.clone()).steps();
+            let reason = stuck_reason(h1, &steps1, &steps2);
             let mut out = Vec::new();
             if reason.is_none() {
                 // δ is only defined from non-final states.
-                let c1 = Contract::wrap(h1);
-                let c2 = Contract::wrap(h2);
-                for ((chan1, dir1), next1) in c1.steps() {
-                    for ((chan2, dir2), next2) in c2.steps() {
-                        if chan1 == chan2 && dir1 == dir2.co() {
-                            let key = (next1.hist().clone(), next2.hist().clone());
-                            let to = match index.get(&key) {
-                                Some(&to) => to,
-                                None => {
-                                    let to = states.len();
-                                    index.insert(key.clone(), to);
-                                    states.push(key);
-                                    queue.push_back(to);
-                                    to
-                                }
-                            };
-                            out.push((chan1.clone(), dir1, to));
+                for ((chan1, dir1), next1) in &steps1 {
+                    for ((chan2, dir2), next2) in &steps2 {
+                        if chan1 == chan2 && *dir1 == dir2.co() {
+                            let next = (next1.hist().clone(), next2.hist().clone());
+                            out.push(((chan1.clone(), *dir1), next));
                         }
                     }
                 }
             }
-            while edges.len() <= id {
-                edges.push(Vec::new());
-                finals.push(None);
-            }
-            edges[id] = out;
-            finals[id] = reason;
-        }
-        ProductAutomaton {
-            states,
-            edges,
-            finals,
-        }
+            finals.push(reason);
+            out
+        })
+        .expect("the product of two finite-state contracts is finite");
+        ProductAutomaton { lts, finals }
     }
 
     /// The number of reachable product states.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.lts.len()
     }
 
     /// Returns `true` if the product has no states (never happens).
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.lts.is_empty()
     }
 
     /// The initial state id (always `0`).
@@ -164,7 +143,7 @@ impl ProductAutomaton {
     ///
     /// Panics if `id` is out of range.
     pub fn state(&self, id: usize) -> (Contract, Contract) {
-        let (h1, h2) = &self.states[id];
+        let (h1, h2) = self.lts.state(id);
         (Contract::wrap(h1.clone()), Contract::wrap(h2.clone()))
     }
 
@@ -182,8 +161,8 @@ impl ProductAutomaton {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn edges(&self, id: usize) -> &[(Channel, Dir, usize)] {
-        &self.edges[id]
+    pub fn edges(&self, id: usize) -> &[((Channel, Dir), usize)] {
+        self.lts.edges(id)
     }
 
     /// The ids of all final (stuck) states.
@@ -198,39 +177,18 @@ impl ProductAutomaton {
     }
 
     /// A shortest path to a stuck state, or `None` if the contracts are
-    /// compliant.
+    /// compliant: the first final state in breadth-first order, with its
+    /// recorded path.
     pub fn stuck_witness(&self) -> Option<StuckWitness> {
-        // BFS over the product for a shortest path to any final state.
-        let mut prev: Vec<Option<(usize, Channel, Dir)>> = vec![None; self.len()];
-        let mut seen = vec![false; self.len()];
-        let mut queue = VecDeque::from([0usize]);
-        seen[0] = true;
-        while let Some(id) = queue.pop_front() {
-            if let Some(reason) = &self.finals[id] {
-                let mut path = Vec::new();
-                let mut cur = id;
-                while let Some((p, c, d)) = &prev[cur] {
-                    path.push((c.clone(), *d));
-                    cur = *p;
-                }
-                path.reverse();
-                let (client, server) = self.state(id);
-                return Some(StuckWitness {
-                    path,
-                    client,
-                    server,
-                    reason: reason.clone(),
-                });
-            }
-            for (c, d, to) in &self.edges[id] {
-                if !seen[*to] {
-                    seen[*to] = true;
-                    prev[*to] = Some((id, c.clone(), *d));
-                    queue.push_back(*to);
-                }
-            }
-        }
-        None
+        let (id, reason) = (self.finals.iter().enumerate())
+            .find_map(|(id, reason)| Some((id, reason.as_ref()?)))?;
+        let (client, server) = self.state(id);
+        Some(StuckWitness {
+            path: self.lts.path_to(id),
+            client,
+            server,
+            reason: reason.clone(),
+        })
     }
 
     /// Renders the product in Graphviz DOT format; stuck states are
@@ -246,30 +204,29 @@ impl ProductAutomaton {
             };
             let _ = writeln!(s, "  q{i} [shape={shape}];");
         }
-        for i in 0..self.len() {
-            for (c, d, t) in &self.edges[i] {
-                let arrow = match d {
-                    Dir::Out => "!",
-                    Dir::In => "?",
-                };
-                let _ = writeln!(s, "  q{i} -> q{t} [label=\"τ({c}{arrow})\"];");
-            }
+        for (i, (c, d), t) in self.lts.iter_edges() {
+            let arrow = match d {
+                Dir::Out => "!",
+                Dir::In => "?",
+            };
+            let _ = writeln!(s, "  q{i} -> q{t} [label=\"τ({c}{arrow})\"];");
         }
         s.push_str("}\n");
         s
     }
 }
 
-/// Classifies a pair of contract states per Definition 5's final-state
-/// conditions; `None` means not stuck.
-fn stuck_reason(h1: &Hist, h2: &Hist) -> Option<StuckReason> {
+/// Classifies a pair of contract states, given by the client state
+/// and both parties' steps, per Definition 5's final-state conditions;
+/// `None` means not stuck.
+fn stuck_reason(
+    h1: &Hist,
+    steps1: &[((Channel, Dir), Contract)],
+    steps2: &[((Channel, Dir), Contract)],
+) -> Option<StuckReason> {
     if h1.is_eps() {
         return None; // the client terminated: success, never final
     }
-    let c1 = Contract::wrap(h1.clone());
-    let c2 = Contract::wrap(h2.clone());
-    let steps1 = c1.steps();
-    let steps2 = c2.steps();
     let outs1: Vec<&Channel> = steps1
         .iter()
         .filter(|((_, d), _)| *d == Dir::Out)

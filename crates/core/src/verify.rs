@@ -12,11 +12,11 @@
 //!    per-request compliance but also covers unbound requests and
 //!    cross-session blocking, and produces scheduler-level witnesses).
 //!
-//! Checks 2 and 3 share one exploration: [`SymGraph::explore`] walks the
-//! plan's symbolic state space once, breadth first, into a graph over
-//! integer state ids. Security is [`check_validity`] run over those ids,
-//! and progress is the graph's first stuck state with its breadth-first
-//! path. Both read the same witnesses the two literal walks
+//! Checks 2 and 3 share one exploration: [`symbolic::explore`] builds
+//! the plan's symbolic state space once, with the workspace's one
+//! breadth-first explorer, as a graph over integer state ids. Security
+//! is [`check_validity`] run over those ids, and progress is the graph's
+//! first stuck state with its breadth-first path. Both read the same witnesses the two literal walks
 //! ([`check_validity`] over [`sufs_net::SymState`]s, and
 //! [`sufs_net::find_stuck`]) would find; those walks survive as the
 //! differential oracle of `tests/verdict_equiv.rs`.
@@ -62,7 +62,7 @@ use sufs_contract::{compliant, Contract, ContractError, StuckWitness};
 use sufs_hexpr::requests::requests;
 use sufs_hexpr::wf::{self, WfError};
 use sufs_hexpr::{Hist, Location, RequestId};
-use sufs_net::symbolic::{StuckState, SymGraph};
+use sufs_net::symbolic::{self, StuckState};
 use sufs_net::{Plan, Repository};
 use sufs_policy::validity::{check_validity, SecurityViolation, ValidityError, Verdict};
 use sufs_policy::PolicyRegistry;
@@ -266,8 +266,8 @@ pub(crate) fn check_plan(
 
     // 2–3. One exploration of the symbolic state space serves both
     //      remaining checks.
-    let graph = SymGraph::explore("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND)
-        .map_err(ValidityError::BoundExceeded)?;
+    let graph = symbolic::explore("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND)
+        .map_err(|e| ValidityError::BoundExceeded(e.bound))?;
 
     // 2. Security: model-check the explored graph over its state ids.
     let verdict = check_validity(
@@ -282,7 +282,7 @@ pub(crate) fn check_plan(
 
     // 3. Progress: no reachable stuck configuration. Missing bindings
     //    already explain a stuck composition more precisely.
-    if let Some(stuck) = graph.stuck() {
+    if let Some(stuck) = symbolic::first_stuck(&graph) {
         if !violations.iter().any(Violation::is_binding_failure) {
             violations.push(Violation::Stuck(stuck));
         }

@@ -18,9 +18,11 @@
 //! * the abstract syntax ([`Hist`]) with smart constructors and the
 //!   structural equivalence `ε·H ≡ H ≡ H·ε` baked into a canonical form,
 //! * the stand-alone operational semantics ([`semantics::successors`]),
-//! * finite labelled transition systems extracted from expressions
-//!   ([`lts::HistLts`]); finiteness is guaranteed by the well-formedness
-//!   discipline of [`wf`] (guarded tail recursion),
+//! * the one bounded breadth-first explorer ([`lts::Lts::explore`]) that
+//!   builds every reachability graph of the workspace, and the finite
+//!   LTS of an expression built by it ([`lts::HistLts`]); finiteness is
+//!   guaranteed by the well-formedness discipline of [`wf`] (guarded
+//!   tail recursion),
 //! * the projection on communication actions `H!` ([`projection::project`]),
 //! * observable ready sets (Definition 3, [`ready::ready_sets`]),
 //! * service-request extraction ([`requests`]),
@@ -63,6 +65,6 @@ pub use event::{Event, PolicyRef};
 pub use hist::Hist;
 pub use ident::{Channel, EventName, Location, RecVar, RequestId};
 pub use label::{Dir, Label};
-pub use lts::HistLts;
+pub use lts::{HistLts, Lts};
 pub use parser::{parse_hist, ParseError};
 pub use value::{ParamValue, Value};

@@ -1,11 +1,30 @@
-//! Finite labelled transition systems of history expressions.
+//! Finite labelled transition systems, built by one bounded explorer.
+//!
+//! Every check of the paper reduces to reachability on a finite
+//! transition system given by a successor function: validity (§3.1) on
+//! the LTS of a history expression, compliance (Theorem 1) on the
+//! product `H₁! ⊗ H₂!` of two contracts (Definition 5), and valid plans
+//! (§5) on the symbolic state space of a plan. [`Lts::explore`] is the
+//! one breadth-first explorer that materialises all of them; the
+//! contract product, the per-plan symbolic graph, lint's composed
+//! reachability and the scheduler's deadlock diagnosis are queries on
+//! the graphs it builds.
+//!
+//! Searches that stop early keep their own loops, since building the
+//! whole graph first would change what they return or pay for work they
+//! skip: the security product walk `check_validity` (which also serves
+//! as the literal oracle of the verdict tests), the progress oracle
+//! `find_stuck`, `find_joint_deadlock` (which reports a deadlock found
+//! before the bound is hit) and `compliant_coinductive` (the
+//! independent Theorem 1 check).
 //!
 //! Because Definition 1 only admits guarded tail recursion, the set of
 //! expressions reachable from a well-formed `H` through the operational
-//! semantics is finite; [`HistLts::build`] explores it with breadth-first
-//! search over canonical states.
+//! semantics is finite; [`HistLts::build`] explores it.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 
 use crate::hist::Hist;
 use crate::label::Label;
@@ -29,68 +48,98 @@ impl std::fmt::Display for StateSpaceExceeded {
 
 impl std::error::Error for StateSpaceExceeded {}
 
-/// The finite LTS of a history expression.
+/// The reachable fragment of a transition system over states `K` with
+/// edge labels `L`, built by [`Lts::explore`].
 ///
-/// States are canonical history expressions; state `0` is the initial
-/// expression. Edges carry the labels of the stand-alone semantics.
+/// States are numbered in breadth-first discovery order (the initial
+/// state is `0`), each state's edges keep the successor function's
+/// order, and every state but the initial one records the edge that
+/// discovered it. A shortest path to a state is therefore read off the
+/// recorded parents ([`Lts::path_to`]), and "the first state (or edge)
+/// satisfying X" in id order is the one a breadth-first search from the
+/// initial state would meet first.
 #[derive(Debug, Clone)]
-pub struct HistLts {
-    states: Vec<Hist>,
-    edges: Vec<Vec<(Label, usize)>>,
+pub struct Lts<K, L> {
+    states: Vec<K>,
+    edges: Vec<Vec<(L, usize)>>,
+    /// The BFS parent of each state, as `(parent, edge index in parent)`.
+    parents: Vec<Option<(usize, usize)>>,
 }
+
+/// The finite LTS of a history expression: states are canonical history
+/// expressions, edges carry the labels of the stand-alone semantics.
+pub type HistLts = Lts<Hist, Label>;
 
 /// The default bound on explored states.
 pub const DEFAULT_STATE_BOUND: usize = 1 << 20;
 
-impl HistLts {
-    /// Explores the reachable state space of `h` with the default bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateSpaceExceeded`] if more than
-    /// [`DEFAULT_STATE_BOUND`] states are reachable, which cannot happen
-    /// for expressions accepted by [`crate::wf::check`].
-    pub fn build(h: &Hist) -> Result<HistLts, StateSpaceExceeded> {
-        Self::build_bounded(h, DEFAULT_STATE_BOUND)
-    }
-
-    /// Explores the reachable state space of `h`, failing beyond `bound`
-    /// states.
+impl<K: Eq + Hash, L> Lts<K, L> {
+    /// Explores the states reachable from `initial` through `succ`,
+    /// breadth first. `succ` is called exactly once per state, in id
+    /// order. Each successor is hashed once; states with equal hashes
+    /// are chained by id, so every state is stored once and never cloned.
     ///
     /// # Errors
     ///
     /// Returns [`StateSpaceExceeded`] if more than `bound` states are
     /// reachable.
-    pub fn build_bounded(h: &Hist, bound: usize) -> Result<HistLts, StateSpaceExceeded> {
-        let mut states: Vec<Hist> = vec![h.clone()];
-        let mut index: HashMap<Hist, usize> = HashMap::new();
-        index.insert(h.clone(), 0);
-        let mut edges: Vec<Vec<(Label, usize)>> = Vec::new();
-        let mut next = 0usize;
-        while next < states.len() {
-            let state = states[next].clone();
-            let mut out = Vec::new();
-            for (label, succ) in successors(&state) {
-                let id = match index.get(&succ) {
-                    Some(&id) => id,
+    pub fn explore<F>(initial: K, bound: usize, mut succ: F) -> Result<Self, StateSpaceExceeded>
+    where
+        F: FnMut(&K) -> Vec<(L, K)>,
+    {
+        let hasher = RandomState::new();
+        // Hash → the newest state with that hash; `same_hash[id]` is the
+        // next older state sharing `id`'s hash.
+        let mut heads: HashMap<u64, usize> = HashMap::from([(hasher.hash_one(&initial), 0)]);
+        let mut same_hash: Vec<Option<usize>> = vec![None];
+        let mut states = vec![initial];
+        let mut edges: Vec<Vec<(L, usize)>> = Vec::new();
+        let mut parents: Vec<Option<(usize, usize)>> = vec![None];
+        while edges.len() < states.len() {
+            let id = edges.len();
+            let succ = succ(&states[id]);
+            let mut out = Vec::with_capacity(succ.len());
+            for (label, s2) in succ {
+                let head = heads.entry(hasher.hash_one(&s2));
+                let mut seen = match &head {
+                    Entry::Occupied(e) => Some(*e.get()),
+                    Entry::Vacant(_) => None,
+                };
+                while let Some(other) = seen.filter(|&other| states[other] != s2) {
+                    seen = same_hash[other];
+                }
+                let target = match seen {
+                    Some(other) => other,
                     None => {
-                        let id = states.len();
-                        if id >= bound {
+                        let fresh = states.len();
+                        if fresh >= bound {
                             return Err(StateSpaceExceeded { bound });
                         }
-                        index.insert(succ.clone(), id);
-                        states.push(succ);
-                        id
+                        same_hash.push(match head {
+                            Entry::Occupied(mut e) => Some(e.insert(fresh)),
+                            Entry::Vacant(e) => {
+                                e.insert(fresh);
+                                None
+                            }
+                        });
+                        states.push(s2);
+                        parents.push(Some((id, out.len())));
+                        fresh
                     }
                 };
-                out.push((label, id));
+                out.push((label, target));
             }
             edges.push(out);
-            next += 1;
         }
-        Ok(HistLts { states, edges })
+        Ok(Lts {
+            states,
+            edges,
+            parents,
+        })
     }
+}
 
+impl<K, L> Lts<K, L> {
     /// The number of states.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -107,98 +156,75 @@ impl HistLts {
         0
     }
 
-    /// The expression at state `id`.
+    /// The state at `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn state(&self, id: usize) -> &Hist {
+    pub fn state(&self, id: usize) -> &K {
         &self.states[id]
     }
 
-    /// Outgoing edges of state `id`.
+    /// Outgoing edges of state `id`, in successor order.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn edges(&self, id: usize) -> &[(Label, usize)] {
+    pub fn edges(&self, id: usize) -> &[(L, usize)] {
         &self.edges[id]
     }
 
     /// Iterates over all `(source, label, target)` triples.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (usize, &Label, usize)> + '_ {
+    pub fn iter_edges(&self) -> impl Iterator<Item = (usize, &L, usize)> + '_ {
         self.edges
             .iter()
             .enumerate()
             .flat_map(|(s, out)| out.iter().map(move |(l, t)| (s, l, *t)))
     }
 
-    /// State ids whose expression is terminated (`ε`): successful final
-    /// states.
-    pub fn terminated_states(&self) -> Vec<usize> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.is_eps())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// States with no outgoing edges that are *not* `ε`: these are stuck.
+    /// The labels along the breadth-first path from the initial state to
+    /// `id`: a shortest path, ties broken by discovery order.
     ///
-    /// For a closed stand-alone expression this is always empty; stuckness
-    /// arises from composition (compliance failures), checked elsewhere.
-    pub fn stuck_states(&self) -> Vec<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(i, out)| out.is_empty() && !self.states[*i].is_eps())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Shortest label path from `from` ending with an edge satisfying
-    /// `pred` (called with source id, label, target id), or `None` if no
-    /// such edge is reachable.
+    /// # Panics
     ///
-    /// Breadth-first, so the returned witness is of minimal length; ties
-    /// are broken by state discovery order, which makes the result
-    /// deterministic for a given LTS.
-    pub fn shortest_path_to_edge<F>(&self, from: usize, mut pred: F) -> Option<Vec<Label>>
+    /// Panics if `id` is out of range.
+    pub fn path_to(&self, id: usize) -> Vec<L>
     where
-        F: FnMut(usize, &Label, usize) -> bool,
+        L: Clone,
     {
-        let mut parent: Vec<Option<(usize, Label)>> = vec![None; self.states.len()];
-        let mut seen = vec![false; self.states.len()];
-        seen[from] = true;
-        let mut queue = std::collections::VecDeque::from([from]);
-        while let Some(u) = queue.pop_front() {
-            for (label, v) in &self.edges[u] {
-                if pred(u, label, *v) {
-                    let mut path = vec![label.clone()];
-                    let mut cur = u;
-                    while let Some((p, l)) = parent[cur].clone() {
-                        path.push(l);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                if !seen[*v] {
-                    seen[*v] = true;
-                    parent[*v] = Some((u, label.clone()));
-                    queue.push_back(*v);
-                }
-            }
+        let mut path = Vec::new();
+        let mut cur = id;
+        while let Some((parent, edge)) = self.parents[cur] {
+            path.push(self.edges[parent][edge].0.clone());
+            cur = parent;
         }
-        None
+        path.reverse();
+        path
+    }
+
+    /// Shortest label path from the initial state ending with an edge
+    /// satisfying `pred` (called with source id, label, target id), or
+    /// `None` if no such edge exists.
+    ///
+    /// Edges are tried in id order, each state's in successor order, so
+    /// the first match is the one a breadth-first search would meet
+    /// first: the witness is of minimal length and deterministic.
+    pub fn shortest_path_to_edge<F>(&self, mut pred: F) -> Option<Vec<L>>
+    where
+        F: FnMut(usize, &L, usize) -> bool,
+        L: Clone,
+    {
+        let (src, label, _) = self.iter_edges().find(|&(s, l, t)| pred(s, l, t))?;
+        let mut path = self.path_to(src);
+        path.push(label.clone());
+        Some(path)
     }
 
     /// State ids reachable from `from` using only edges whose label
     /// satisfies `keep` (including `from` itself).
     pub fn reachable_via<F>(&self, from: usize, mut keep: F) -> Vec<usize>
     where
-        F: FnMut(&Label) -> bool,
+        F: FnMut(&L) -> bool,
     {
         let mut seen = vec![false; self.states.len()];
         seen[from] = true;
@@ -222,7 +248,7 @@ impl HistLts {
     /// state on such a cycle, or `None` if the subgraph is acyclic.
     pub fn cycle_within<F>(&self, within: &[usize], mut keep: F) -> Option<usize>
     where
-        F: FnMut(&Label) -> bool,
+        F: FnMut(&L) -> bool,
     {
         let member: std::collections::HashSet<usize> = within.iter().copied().collect();
         // Lint-sized LTSs are small, so a per-state "can this state reach
@@ -252,6 +278,54 @@ impl HistLts {
         }
         None
     }
+}
+
+impl Lts<Hist, Label> {
+    /// Explores the reachable state space of `h` with the default bound.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateSpaceExceeded`] if more than
+    /// [`DEFAULT_STATE_BOUND`] states are reachable, which cannot happen
+    /// for expressions accepted by [`crate::wf::check`].
+    pub fn build(h: &Hist) -> Result<HistLts, StateSpaceExceeded> {
+        Self::build_bounded(h, DEFAULT_STATE_BOUND)
+    }
+
+    /// Explores the reachable state space of `h`, failing beyond `bound`
+    /// states.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateSpaceExceeded`] if more than `bound` states are
+    /// reachable.
+    pub fn build_bounded(h: &Hist, bound: usize) -> Result<HistLts, StateSpaceExceeded> {
+        Lts::explore(h.clone(), bound, successors)
+    }
+
+    /// State ids whose expression is terminated (`ε`): successful final
+    /// states.
+    pub fn terminated_states(&self) -> Vec<usize> {
+        self.states
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.is_eps())
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// States with no outgoing edges that are *not* `ε`: these are stuck.
+    ///
+    /// For a closed stand-alone expression this is always empty; stuckness
+    /// arises from composition (compliance failures), checked elsewhere.
+    pub fn stuck_states(&self) -> Vec<usize> {
+        self.edges
+            .iter()
+            .enumerate()
+            .filter(|(i, out)| out.is_empty() && !self.states[*i].is_eps())
+            .map(|(i, _)| i)
+            .collect()
+    }
 
     /// Renders the LTS in Graphviz DOT format (for debugging and docs).
     pub fn to_dot(&self) -> String {
@@ -276,7 +350,7 @@ impl HistLts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, PolicyRef};
     use crate::ident::Channel;
 
     fn ev(name: &str) -> Hist {
@@ -284,6 +358,156 @@ mod tests {
     }
     fn ch(name: &str) -> Channel {
         Channel::new(name)
+    }
+
+    /// `0 → 1 → … → max`, one `'i'` edge each.
+    fn counter_lts(max: u32) -> Lts<u32, char> {
+        Lts::explore(0u32, 1000, |&n| {
+            if n >= max {
+                vec![]
+            } else {
+                vec![('i', n + 1)]
+            }
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn explorer_reaches_every_state_and_keeps_sinks() {
+        let lts = counter_lts(5);
+        assert_eq!(lts.len(), 6);
+        assert!(!lts.is_empty());
+        let sinks: Vec<usize> = (0..lts.len())
+            .filter(|&i| lts.edges(i).is_empty())
+            .collect();
+        assert_eq!(sinks, vec![5]);
+        assert_eq!(*lts.state(5), 5);
+    }
+
+    #[test]
+    fn explorer_respects_the_bound() {
+        let err = Lts::explore(0u32, 3, |&n| vec![('i', n + 1)]).unwrap_err();
+        assert_eq!(err, StateSpaceExceeded { bound: 3 });
+        assert!(err.to_string().contains('3'));
+        // Exactly `bound` states fit.
+        assert_eq!(counter_lts(2).len(), 3);
+        assert!(Lts::explore(0u32, 3, |&n| if n < 2 {
+            vec![('i', n + 1)]
+        } else {
+            vec![]
+        })
+        .is_ok());
+    }
+
+    #[test]
+    fn explorer_finds_the_shortest_path_through_a_diamond() {
+        // 0 → 1 → 3 and 0 → 2 → 3, plus a longer detour 0 → 4 → 5 → 3.
+        let lts = Lts::explore(0u8, 100, |&n| match n {
+            0 => vec![('a', 1), ('b', 2), ('c', 4)],
+            1 | 2 => vec![('d', 3)],
+            4 => vec![('e', 5)],
+            5 => vec![('f', 3)],
+            _ => vec![],
+        })
+        .unwrap();
+        let three = (0..lts.len()).find(|&i| *lts.state(i) == 3).unwrap();
+        assert_eq!(lts.path_to(three), vec!['a', 'd']);
+        assert_eq!(
+            lts.shortest_path_to_edge(|_, _, t| t == three),
+            Some(vec!['a', 'd'])
+        );
+        assert_eq!(
+            lts.shortest_path_to_edge(|_, &l, _| l == 'f'),
+            Some(vec!['c', 'e', 'f'])
+        );
+    }
+
+    #[test]
+    fn explorer_reports_no_path_when_none_exists() {
+        let lts = counter_lts(2);
+        assert!(lts
+            .shortest_path_to_edge(|_, _, t| *lts.state(t) == 42)
+            .is_none());
+        assert!(lts.shortest_path_to_edge(|_, &l, _| l == 'x').is_none());
+    }
+
+    #[test]
+    fn explorer_merges_confluent_states() {
+        // 0 → 1 under two labels: one state, two edges.
+        let lts = Lts::explore(0u8, 100, |&n| {
+            if n == 0 {
+                vec![('x', 1), ('y', 1)]
+            } else {
+                vec![]
+            }
+        })
+        .unwrap();
+        assert_eq!(lts.len(), 2);
+        assert_eq!(lts.edges(0), &[('x', 1), ('y', 1)]);
+        assert_eq!(lts.iter_edges().count(), 2);
+        // The first edge discovered the state.
+        assert_eq!(lts.path_to(1), vec!['x']);
+    }
+
+    #[test]
+    fn explorer_chains_states_with_equal_hashes() {
+        // A state type whose hash ignores half of it: every state lands
+        // in one hash chain and must still be told apart by equality.
+        #[derive(Debug, PartialEq, Eq)]
+        struct Collide(u8);
+        impl Hash for Collide {
+            fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+                (self.0 / 8).hash(h);
+            }
+        }
+        let lts = Lts::explore(Collide(0), 100, |&Collide(n)| {
+            if n < 7 {
+                vec![((), Collide(n + 1)), ((), Collide(0))]
+            } else {
+                vec![]
+            }
+        })
+        .unwrap();
+        assert_eq!(lts.len(), 8);
+        for i in 0..lts.len() {
+            assert_eq!(lts.state(i).0 as usize, i);
+        }
+    }
+
+    #[test]
+    fn graph_numbers_states_breadth_first() {
+        // φ⟦#a⟧: open the frame, fire, close; a chain of four states
+        // whose edges are exactly the successor walk's labels.
+        let phi = PolicyRef::nullary("p");
+        let h = Hist::framed(phi.clone(), ev("a"));
+        let lts = HistLts::build(&h).unwrap();
+        assert_eq!(lts.len(), 4);
+        let a = Label::Ev(Event::nullary("a"));
+        assert_eq!(lts.edges(0), &[(Label::FrameOpen(phi.clone()), 1)]);
+        assert_eq!(lts.edges(1), &[(a.clone(), 2)]);
+        assert_eq!(lts.edges(2), &[(Label::FrameClose(phi.clone()), 3)]);
+        assert!(lts.edges(3).is_empty());
+        assert_eq!(
+            lts.path_to(3),
+            vec![Label::FrameOpen(phi.clone()), a, Label::FrameClose(phi)]
+        );
+        assert_eq!(lts.terminated_states(), vec![3]);
+        assert!(lts.stuck_states().is_empty());
+    }
+
+    #[test]
+    fn graph_shares_revisited_states() {
+        // μh. ping!. pong?. h returns to its first state: two states, one
+        // back edge.
+        let h = Hist::mu(
+            "h",
+            Hist::int_([(ch("ping"), Hist::ext([(ch("pong"), Hist::var("h"))]))]),
+        );
+        let lts = HistLts::build(&h).unwrap();
+        assert_eq!(lts.len(), 2);
+        let back_edges = lts.iter_edges().filter(|&(from, _, to)| to <= from).count();
+        assert_eq!(back_edges, 1, "the loop must close on a known state");
+        assert!(lts.stuck_states().is_empty());
     }
 
     #[test]

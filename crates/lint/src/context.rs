@@ -15,7 +15,7 @@
 //! rows of a [`VerifyCache`], which a broker shares with its composed
 //! products: a verdict computed here is a hit for the next `plan` read.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use sufs_core::cache::{StateView, VerifyCache};
@@ -26,7 +26,7 @@ use sufs_core::verify::{VerifyError, DEFAULT_STATE_BOUND};
 use sufs_hexpr::requests::requests;
 use sufs_hexpr::shash::stable_hash_of;
 use sufs_hexpr::{wf, Event, Hist, HistLts, Label, Location, PolicyRef, RequestId};
-use sufs_net::symbolic::{symbolic_successors, SymState};
+use sufs_net::symbolic;
 use sufs_net::{Plan, Repository};
 use sufs_policy::cost::CostBound;
 use sufs_policy::PolicyRegistry;
@@ -531,8 +531,8 @@ fn span_or_start(map: Option<&BTreeMap<String, SrcPos>>, name: &str) -> SrcPos {
         .unwrap_or_else(SrcPos::start)
 }
 
-/// Every event some run of `client` under `plan` fires, by breadth-first
-/// exploration of the composed symbolic state space; `None` if more than
+/// Every event some run of `client` under `plan` fires: the event
+/// labels of the composed symbolic state space; `None` if more than
 /// `bound` states are reachable.
 fn composed_events(
     client: &Hist,
@@ -540,25 +540,12 @@ fn composed_events(
     repo: &Repository,
     bound: usize,
 ) -> Option<BTreeSet<Event>> {
-    let initial = SymState::initial("client", client.clone());
-    let mut seen: HashSet<SymState> = HashSet::from([initial.clone()]);
-    let mut queue = VecDeque::from([initial]);
-    let mut events = BTreeSet::new();
-    while let Some(state) = queue.pop_front() {
-        for (label, next) in symbolic_successors(&state, plan, repo) {
-            if let Label::Ev(e) = &label {
-                events.insert(e.clone());
-            }
-            if !seen.contains(&next) {
-                if seen.len() >= bound {
-                    return None;
-                }
-                seen.insert(next.clone());
-                queue.push_back(next);
-            }
-        }
-    }
-    Some(events)
+    let graph = symbolic::explore("client", client.clone(), plan, repo, bound).ok()?;
+    let events = graph.iter_edges().filter_map(|(_, label, _)| match label {
+        Label::Ev(e) => Some(e.clone()),
+        _ => None,
+    });
+    Some(events.collect())
 }
 
 #[cfg(test)]

@@ -73,7 +73,6 @@ impl Pass for PlanContention {
             if let Some(c) = forced.first() {
                 let plan = c.report.valid_plans().next().expect("has_valid_plan");
                 let witness = c.lts.shortest_path_to_edge(
-                    c.lts.initial(),
                     |_, l, _| matches!(l, Label::Open(r, _) if plan.service_for(*r) == Some(loc)),
                 );
                 if let Some(path) = witness {

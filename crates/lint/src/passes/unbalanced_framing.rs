@@ -118,9 +118,7 @@ fn check_component(
             _ => unreachable!(),
         };
         let witness = lts
-            .shortest_path_to_edge(lts.initial(), |s2, l2, t2| {
-                s2 == src && l2 == label && t2 == tgt
-            })
+            .shortest_path_to_edge(|s2, l2, t2| s2 == src && l2 == label && t2 == tgt)
             .map(|path| path.iter().map(|l| l.to_string()).collect::<Vec<_>>());
         let mut d = Diagnostic::new(
             Code::UnbalancedFraming,

@@ -89,7 +89,7 @@ fn diagnose(
     plan_count: usize,
 ) -> Diagnostic {
     let witness = lts
-        .shortest_path_to_edge(lts.initial(), |_, l, _| l == &Label::Ev(event.clone()))
+        .shortest_path_to_edge(|_, l, _| l == &Label::Ev(event.clone()))
         .map(|path| path.iter().map(|l| l.to_string()).collect::<Vec<_>>());
     let message = format!("event {event} can never fire: no composed execution reaches it");
     let note = if plan_count > 0 {

@@ -47,4 +47,4 @@ pub use repository::{PublishError, RepoEvent, Repository};
 pub use scheduler::{ChoiceMode, DeadlockReason, Outcome, RunResult, Scheduler, TraceStep};
 pub use semantics::{component_steps, sess_steps, SessStep, StepAction};
 pub use session::{pending_frame_closes, Sess};
-pub use symbolic::{find_stuck, symbolic_successors, StuckState, SymGraph, SymState};
+pub use symbolic::{find_stuck, symbolic_successors, StuckState, SymState};

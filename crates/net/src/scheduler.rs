@@ -27,7 +27,7 @@ use crate::repository::Repository;
 use crate::semantics::{active_services, sess_steps_with_load, SessStep, StepAction};
 use crate::session::Sess;
 use sufs_hexpr::semantics::successors;
-use sufs_hexpr::{Channel, Dir, Label, Location, PolicyRef};
+use sufs_hexpr::{Channel, Dir, HistLts, Label, Location, PolicyRef};
 use sufs_policy::{HistoryItem, PolicyError, PolicyRegistry};
 
 /// How internal choices are resolved.
@@ -744,23 +744,14 @@ fn find_unmatched_send(sess: &Sess) -> Option<(Channel, Location)> {
     None
 }
 
-/// Breadth-first search of the partner's stand-alone behaviour for a
-/// state offering the input `chan`.
+/// Whether some state of the partner's stand-alone LTS offers the input
+/// `chan`. A partner whose LTS exceeds the default bound (only an
+/// ill-formed one can) is not blamed.
 fn can_ever_receive(h: &sufs_hexpr::Hist, chan: &Channel) -> bool {
-    use std::collections::{HashSet, VecDeque};
-    let mut seen: HashSet<sufs_hexpr::Hist> = HashSet::from([h.clone()]);
-    let mut queue = VecDeque::from([h.clone()]);
-    while let Some(state) = queue.pop_front() {
-        for (label, next) in successors(&state) {
-            if matches!(&label, Label::Chan(c, Dir::In) if c == chan) {
-                return true;
-            }
-            if seen.insert(next.clone()) {
-                queue.push_back(next);
-            }
-        }
-    }
-    false
+    HistLts::build(h).map_or(true, |lts| {
+        lts.iter_edges()
+            .any(|(_, label, _)| matches!(label, Label::Chan(c, Dir::In) if c == chan))
+    })
 }
 
 /// Convenience: builds a single-client network and runs it.

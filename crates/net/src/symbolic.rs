@@ -9,21 +9,19 @@
 //! services are finite state and session nesting is bounded by the
 //! syntax, the symbolic space of a plan-closed component is finite.
 //!
-//! [`SymGraph::explore`] walks that space once and keeps it as an
-//! explicit graph over integer state ids, so a plan's security and
-//! progress verdicts are both read off one exploration. [`find_stuck`]
-//! is the literal progress search, kept as the oracle the graph's
-//! [`SymGraph::stuck`] is tested against.
-
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::HashMap;
-use std::hash::BuildHasher;
+//! [`explore`] builds that space once with the workspace's one explorer
+//! ([`Lts::explore`]) as an explicit graph over integer state ids, so a
+//! plan's security and progress verdicts are both read off one
+//! exploration. [`find_stuck`] is the literal progress search, kept as
+//! the oracle [`first_stuck`] is tested against: it stops at the first
+//! stuck state instead of building the graph.
 
 use crate::plan::Plan;
 use crate::repository::Repository;
 
 use crate::session::Sess;
-use sufs_hexpr::{Hist, Label, Location};
+use sufs_hexpr::lts::StateSpaceExceeded;
+use sufs_hexpr::{Hist, Label, Location, Lts};
 use sufs_policy::HistoryItem;
 
 /// A symbolic state: the session tree and the queue of history items
@@ -133,128 +131,43 @@ impl std::fmt::Display for StuckState {
     }
 }
 
-/// The reachable symbolic state space of a component under a plan, made
-/// explicit by one breadth-first walk.
+/// The reachable symbolic state space of `client` at `loc` under
+/// `plan`, built by the one explorer ([`Lts::explore`]): states in
+/// discovery order, each state's edges in [`symbolic_successors`] order.
 ///
-/// States are numbered in discovery order (the initial state is `0`),
-/// each state's edges keep [`symbolic_successors`] order, and every
-/// state but the initial one records the edge that discovered it. Only
-/// the first stuck state's session tree outlives the walk.
-#[derive(Debug)]
-pub struct SymGraph {
-    /// Outgoing `(label, target)` edges of each state.
-    edges: Vec<Vec<(Label, usize)>>,
-    /// The BFS parent of each state, as `(parent, edge index in parent)`.
-    parents: Vec<Option<(usize, usize)>>,
-    /// The first state in discovery order that has no successors and is
-    /// not terminated, with its session tree.
-    stuck: Option<(usize, Sess)>,
+/// # Errors
+///
+/// Returns [`StateSpaceExceeded`] if more than `bound` states are
+/// reachable, as [`find_stuck`] does.
+pub fn explore(
+    loc: impl Into<Location>,
+    client: Hist,
+    plan: &Plan,
+    repo: &Repository,
+    bound: usize,
+) -> Result<Lts<SymState, Label>, StateSpaceExceeded> {
+    Lts::explore(SymState::initial(loc, client), bound, |s| {
+        symbolic_successors(s, plan, repo)
+    })
 }
 
-impl SymGraph {
-    /// Explores the symbolic state space of `client` at `loc` under
-    /// `plan`, breadth first. Each successor is hashed once; states with
-    /// equal hashes are chained by id, so every state is stored once.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bound if more than `bound` states are reachable, as
-    /// [`find_stuck`] does.
-    pub fn explore(
-        loc: impl Into<Location>,
-        client: Hist,
-        plan: &Plan,
-        repo: &Repository,
-        bound: usize,
-    ) -> Result<SymGraph, usize> {
-        let hasher = RandomState::new();
-        let initial = SymState::initial(loc, client);
-        // Hash → the newest state with that hash; `same_hash[id]` is the
-        // next older state sharing `id`'s hash.
-        let mut heads: HashMap<u64, usize> = HashMap::from([(hasher.hash_one(&initial), 0)]);
-        let mut same_hash: Vec<Option<usize>> = vec![None];
-        let mut states = vec![initial];
-        let mut edges: Vec<Vec<(Label, usize)>> = Vec::new();
-        let mut parents: Vec<Option<(usize, usize)>> = vec![None];
-        let mut stuck = None;
-        while edges.len() < states.len() {
-            let id = edges.len();
-            let succ = symbolic_successors(&states[id], plan, repo);
-            if succ.is_empty() && stuck.is_none() && !states[id].is_terminated() {
-                stuck = Some(id);
-            }
-            let mut out = Vec::with_capacity(succ.len());
-            for (label, s2) in succ {
-                let head = heads.entry(hasher.hash_one(&s2));
-                let mut seen = match &head {
-                    Entry::Occupied(e) => Some(*e.get()),
-                    Entry::Vacant(_) => None,
-                };
-                while let Some(other) = seen.filter(|&other| states[other] != s2) {
-                    seen = same_hash[other];
-                }
-                let target = match seen {
-                    Some(other) => other,
-                    None => {
-                        let fresh = states.len();
-                        if fresh >= bound {
-                            return Err(bound);
-                        }
-                        same_hash.push(match head {
-                            Entry::Occupied(mut e) => Some(e.insert(fresh)),
-                            Entry::Vacant(e) => {
-                                e.insert(fresh);
-                                None
-                            }
-                        });
-                        states.push(s2);
-                        parents.push(Some((id, out.len())));
-                        fresh
-                    }
-                };
-                out.push((label, target));
-            }
-            edges.push(out);
-        }
-        let stuck = stuck.map(|id| (id, states.swap_remove(id).sess));
-        Ok(SymGraph {
-            edges,
-            parents,
-            stuck,
-        })
-    }
-
-    /// The outgoing edges of state `id`, in [`symbolic_successors`] order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn edges(&self, id: usize) -> &[(Label, usize)] {
-        &self.edges[id]
-    }
-
-    /// The first stuck state in discovery order, with its breadth-first
-    /// path: the state [`find_stuck`] returns.
-    pub fn stuck(&self) -> Option<StuckState> {
-        let (id, sess) = self.stuck.as_ref()?;
-        let mut path = Vec::new();
-        let mut cur = *id;
-        while let Some((parent, edge)) = self.parents[cur] {
-            path.push(self.edges[parent][edge].0.clone());
-            cur = parent;
-        }
-        path.reverse();
-        Some(StuckState {
-            path,
-            sess: sess.clone(),
-        })
-    }
+/// The first stuck state of an explored symbolic graph in discovery
+/// order (no successors, not terminated), with its breadth-first path:
+/// the state [`find_stuck`] returns.
+pub fn first_stuck(graph: &Lts<SymState, Label>) -> Option<StuckState> {
+    let id = (0..graph.len())
+        .find(|&id| graph.edges(id).is_empty() && !graph.state(id).is_terminated())?;
+    Some(StuckState {
+        path: graph.path_to(id),
+        sess: graph.state(id).sess.clone(),
+    })
 }
 
 /// Searches the symbolic state space for a reachable stuck state.
 ///
 /// This is the literal breadth-first search, stopping at the first stuck
-/// state; production verdicts read the same state off a [`SymGraph`].
+/// state; production verdicts read the same state off the explored
+/// graph with [`first_stuck`].
 ///
 /// # Errors
 ///
@@ -327,8 +240,8 @@ mod tests {
         bound: usize,
     ) -> Result<Option<StuckState>, usize> {
         let oracle = find_stuck("c", client.clone(), plan, repo, bound);
-        let graph = SymGraph::explore("c", client, plan, repo, bound);
-        assert_eq!(graph.map(|g| g.stuck()), oracle);
+        let graph = explore("c", client, plan, repo, bound);
+        assert_eq!(graph.map(|g| first_stuck(&g)).map_err(|e| e.bound), oracle);
         oracle
     }
 
@@ -410,45 +323,8 @@ mod tests {
         let plan = Plan::new().with(1u32, "srv");
         assert_eq!(find_stuck("c", client.clone(), &plan, &repo, 2), Err(2));
         assert_eq!(
-            SymGraph::explore("c", client, &plan, &repo, 2).map(|g| g.edges.len()),
-            Err(2)
+            explore("c", client, &plan, &repo, 2).map(|g| g.len()),
+            Err(StateSpaceExceeded { bound: 2 })
         );
-    }
-
-    #[test]
-    fn graph_numbers_states_breadth_first() {
-        // Open (⌞p), synch (τ), close (⌟p): a chain of four states whose
-        // edges are exactly the successor walk's labels.
-        let phi = sufs_hexpr::PolicyRef::nullary("p");
-        let client = request(1, Some(phi.clone()), send("x", eps()));
-        let repo = repo(&[("srv", "ext[x -> eps]")]);
-        let plan = Plan::new().with(1u32, "srv");
-        let graph = SymGraph::explore("c", client, &plan, &repo, 100).unwrap();
-        assert_eq!(graph.edges.len(), 4);
-        assert_eq!(graph.edges(0), &[(Label::FrameOpen(phi.clone()), 1)]);
-        assert_eq!(graph.edges(1), &[(Label::Tau, 2)]);
-        assert_eq!(graph.edges(2), &[(Label::FrameClose(phi), 3)]);
-        assert!(graph.edges(3).is_empty());
-        // The terminated end state is not stuck.
-        assert!(graph.stuck().is_none());
-    }
-
-    #[test]
-    fn graph_shares_revisited_states() {
-        // The loop returns to its first state: two states, one back edge.
-        let client = request(
-            1,
-            None,
-            loop_("h", choose([("ping", recv("pong", jump("h")))])),
-        );
-        let repo = repo(&[("srv", "mu k. ext[ping -> int[pong -> k]]")]);
-        let plan = Plan::new().with(1u32, "srv");
-        let graph = SymGraph::explore("c", client, &plan, &repo, 100).unwrap();
-        let back_edges = (0..graph.edges.len())
-            .flat_map(|id| graph.edges(id).iter().map(move |(_, to)| (id, *to)))
-            .filter(|(from, to)| to <= from)
-            .count();
-        assert!(back_edges >= 1, "the loop must close on a known state");
-        assert!(graph.stuck().is_none());
     }
 }

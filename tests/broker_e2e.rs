@@ -551,6 +551,44 @@ fn publish_rejects_ill_formed_and_unparsable_services() {
     handle.join();
 }
 
+/// A `run` with a forced plan skips the product, so it must check the
+/// client's well-formedness itself: this ill-formed client (a jump under
+/// a sequence) has an infinite state space, and diagnosing its deadlock
+/// against `srv` used to exhaust the broker's memory. It is refused as
+/// `plan` refuses it, and the broker keeps serving.
+#[test]
+fn run_rejects_an_ill_formed_client_with_a_forced_plan() {
+    let (handle, mut client) = spawn(BrokerConfig::default());
+    let reply = client.publish("srv", "int[y -> eps]", None).expect("reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let ill_formed = "open 1 { mu h. ext[z -> h; #e] }";
+    let run = Json::obj()
+        .with("cmd", "run")
+        .with("client", ill_formed)
+        .with("plan", "r1=srv");
+    let plan = Json::obj().with("cmd", "plan").with("client", ill_formed);
+    for request in [&run, &plan] {
+        let reply = client.request(request).expect("reply");
+        assert_eq!(reply.bool_field("ok"), Some(false), "{reply}");
+        assert_eq!(reply.str_field("kind"), Some("verify"), "{reply}");
+        let message = reply.str_field("error").expect("error message");
+        assert!(message.starts_with("ill-formed client: "), "{reply}");
+    }
+    // The broker still answers: a well-formed forced run deadlocks on
+    // the unmatched `y` and says so.
+    let reply = client
+        .request(
+            &Json::obj()
+                .with("cmd", "run")
+                .with("client", "open 1 { ext[z -> eps] }")
+                .with("plan", "r1=srv"),
+        )
+        .expect("reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    assert_eq!(reply.bool_field("success"), Some(false), "{reply}");
+    handle.join();
+}
+
 /// An optional field sent with the wrong shape is a `bad_request`, never
 /// read as its default: a `capacity` of `-1`, `"2"` or `1.5` must not
 /// republish the service unbounded, and a malformed query option must

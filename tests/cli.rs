@@ -173,6 +173,26 @@ fn compliance_command() {
     assert!(stdout.contains("root:"));
 }
 
+/// `sufs lts` prints every client's and service's LTS exactly as pinned
+/// in `tests/golden/lts/`: states in breadth-first discovery order,
+/// edges in successor order, with and without `--dot`.
+#[test]
+fn lts_output_matches_the_goldens() {
+    for name in ["c1", "c2", "br", "s1", "s2", "s3", "s4"] {
+        for (flags, ext) in [(&[][..], "txt"), (&["--dot"][..], "dot")] {
+            let args = [&["lts", "scenarios/hotel.sufs", name][..], flags].concat();
+            let (stdout, stderr, ok) = sufs(&args);
+            assert!(ok, "{args:?}: {stderr}");
+            let path = format!(
+                "{}/tests/golden/lts/hotel_{name}.{ext}",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let golden = std::fs::read_to_string(&path).expect("golden exists");
+            assert_eq!(stdout, golden, "{args:?} differs from {path}");
+        }
+    }
+}
+
 #[test]
 fn verify_net_runs_the_joint_analysis() {
     let (stdout, _, ok) = sufs(&["verify-net", "scenarios/hotel.sufs"]);
