@@ -22,6 +22,7 @@
 //! reverted), so a gated broker never holds state it cannot analyze.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use sufs_lint::{Diagnostic, LintInput, LintReport, Severity};
 
@@ -53,12 +54,12 @@ pub fn deny_level_name(severity: Severity) -> &'static str {
 }
 
 /// Refreshes the broker's lint engine against the given state and
-/// returns the refresh outcome plus a clone of the up-to-date report.
-/// Counts the passes run/reused into the metrics.
+/// returns the refresh outcome plus the up-to-date report, shared with
+/// the engine (no copy). Counts the passes run/reused into the metrics.
 fn refresh(
     shared: &Shared,
     state: &State,
-) -> Result<(sufs_lint::RefreshOutcome, LintReport), sufs_lint::LintError> {
+) -> Result<(sufs_lint::RefreshOutcome, Arc<LintReport>), sufs_lint::LintError> {
     let mut engine = shared.lint.lock().expect("lint lock");
     let outcome = engine.refresh(LintInput::new(&state.clients, &state.repo, &state.registry))?;
     shared
@@ -69,7 +70,7 @@ fn refresh(
         .metrics
         .lint_passes_reused
         .fetch_add(outcome.passes_reused as u64, Ordering::Relaxed);
-    Ok((outcome, engine.report().clone()))
+    Ok((outcome, Arc::clone(engine.report())))
 }
 
 /// A diagnostic as a wire object — the same schema `sufs lint --json`
@@ -105,10 +106,11 @@ pub(crate) fn gate_active(shared: &Shared, source: Source) -> bool {
     shared.deny_lint.is_some() && source == Source::Client
 }
 
-/// The pre-mutation baseline a gated mutation captures before applying.
+/// The pre-mutation baseline a gated mutation captures before applying:
+/// the engine's report itself, not a copy of it.
 pub(crate) struct Gate {
     deny: Severity,
-    before: LintReport,
+    before: Arc<LintReport>,
 }
 
 /// Captures the pre-mutation report. Call with the state write guard
@@ -149,11 +151,8 @@ pub(crate) fn check(shared: &Shared, gate: &Gate, state: &State) -> Result<(), J
     };
     // `Severity` orders Error < Warning < Info, so "at or above the
     // deny level" is `<=`.
-    let introduced: Vec<&Diagnostic> = after
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity() <= gate.deny && !gate.before.diagnostics.contains(d))
-        .collect();
+    let mut introduced = after.not_in(&gate.before);
+    introduced.retain(|d| d.severity() <= gate.deny);
     if introduced.is_empty() {
         return Ok(());
     }

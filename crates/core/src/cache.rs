@@ -12,9 +12,12 @@
 //! 3. **verdicts** — a plan's security and progress verdict, keyed by
 //!    the client, the plan, and the [`StateFingerprints`] of what the
 //!    verdict reads: the policy registry and the services the plan
-//!    binds (§5). The broker's composed products ([`crate::product`])
+//!    binds (§5). A row also holds the events the plan's symbolic
+//!    space fires and its size ([`PlanReach`]), read off the same
+//!    exploration. The broker's composed products ([`crate::product`])
 //!    and the lint engine share this layer, so a verdict the
-//!    `--deny-lint` gate paid for is a hit for the next `plan` read.
+//!    `--deny-lint` gate paid for is a hit for the next `plan` read,
+//!    and lint's reachability costs no exploration of its own.
 //!
 //! Every entry is keyed by its inputs, so no mutation invalidates
 //! anything. Keys bucket on the *stable* structural hashes of
@@ -44,7 +47,7 @@ use sufs_hexpr::{Hist, Location};
 use sufs_net::{Plan, Repository};
 use sufs_policy::PolicyRegistry;
 
-use crate::verify::{check_plan, PlanVerdict, VerifyError};
+use crate::verify::{check_plan, PlanReach, PlanVerdict, VerifyError};
 
 /// Past this many entries a cache layer is cleared wholesale: a crude
 /// bound on a long-lived cache, since every entry is re-derivable. The
@@ -305,7 +308,11 @@ type ComplianceMap = Bucketed<(Contract, Contract), Option<StuckWitness>>;
 /// `(client, plan, what the plan's verdict reads)`, bucketed on the plan
 /// and its reads: distinct clients sharing both share a bucket, never a
 /// row.
-type VerdictMap = Bucketed<(Arc<Hist>, Plan, Reads), PlanVerdict>;
+type VerdictMap = Bucketed<(Arc<Hist>, Plan, Reads), VerdictRow>;
+
+/// One verdict row: a plan's verdict and what the exploration behind it
+/// reached.
+pub type VerdictRow = (PlanVerdict, PlanReach);
 
 /// The verification memo table; see the module docs for its three layers.
 ///
@@ -368,7 +375,9 @@ impl VerifyCache {
         computed
     }
 
-    /// The memoized verdict of `plan` for `client` over `state`.
+    /// The memoized verdict row of `plan` for `client` over `state`:
+    /// the verdict together with the [`PlanReach`] of the exploration
+    /// behind it.
     ///
     /// The row is keyed by the client, the plan, the registry
     /// fingerprint and the fingerprints of the locations the plan binds
@@ -387,7 +396,7 @@ impl VerifyCache {
         client: &Arc<Hist>,
         plan: &Plan,
         state: &StateView<'_>,
-    ) -> Result<PlanVerdict, VerifyError> {
+    ) -> Result<VerdictRow, VerifyError> {
         // The plan is part of the key, so its bound locations need no
         // deduplication: `reads` is a function of the plan and the state.
         let reads = state.fingerprints.reads(plan.iter().map(|(_, loc)| loc));
@@ -492,7 +501,7 @@ mod tests {
         let plan = Plan::new().with(1u32, "s");
         let verdict = |repo: &Repository| {
             let state = StateView::of(repo, &registry);
-            cache.verdict(&client, &plan, &state).unwrap()
+            cache.verdict(&client, &plan, &state).unwrap().0
         };
         assert!(verdict(&repo).is_valid());
         assert!(verdict(&repo).is_valid());
@@ -519,12 +528,12 @@ mod tests {
         // share a bucket but never a row.
         let good = Arc::new(request(1u32, None, send("q", eps())));
         let bad = Arc::new(request(1u32, None, send("zz", eps())));
-        assert!(cache.verdict(&good, &plan, &state).unwrap().is_valid());
-        assert!(!cache.verdict(&bad, &plan, &state).unwrap().is_valid());
+        assert!(cache.verdict(&good, &plan, &state).unwrap().0.is_valid());
+        assert!(!cache.verdict(&bad, &plan, &state).unwrap().0.is_valid());
         assert_eq!(cache.stats().verdict, (0, 2));
         // An equal behaviour behind another pointer is the same client.
         let again = Arc::new(request(1u32, None, send("q", eps())));
-        assert!(cache.verdict(&again, &plan, &state).unwrap().is_valid());
+        assert!(cache.verdict(&again, &plan, &state).unwrap().0.is_valid());
         assert_eq!(cache.stats().verdict, (1, 2));
     }
 

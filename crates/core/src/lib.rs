@@ -59,6 +59,6 @@ pub use recovery::{
 };
 pub use report::VerifyReport;
 pub use verify::{
-    synthesize, verify, verify_plan, verify_with_cap, Engine, PlanVerdict, SynthStats, Synthesis,
-    SynthesisOptions, VerifyError, Violation,
+    synthesize, verify, verify_plan, verify_with_cap, Engine, PlanReach, PlanVerdict, SynthStats,
+    Synthesis, SynthesisOptions, VerifyError, Violation,
 };

@@ -195,7 +195,7 @@ fn build_product(
         });
         let verdict = match reused {
             Some(verdict) => verdict,
-            None => cache.verdict(client, &plan, state)?,
+            None => cache.verdict(client, &plan, state)?.0,
         };
         verdicts.insert(plan, verdict);
     }

@@ -36,7 +36,7 @@ use sufs_policy::{CmpOp, Guard, Operand, PolicyRegistry, UsageBuilder};
 /// A position in a scenario source text: byte offset plus 1-based line
 /// and column. This is the location type shared by parse errors and
 /// lint diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SrcPos {
     /// Byte offset into the source text.
     pub offset: usize,

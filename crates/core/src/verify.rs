@@ -14,11 +14,14 @@
 //!
 //! Checks 2 and 3 share one exploration: [`symbolic::explore`] builds
 //! the plan's symbolic state space once, with the workspace's one
-//! breadth-first explorer, as a graph over integer state ids. Security
-//! is [`check_validity`] run over those ids, and progress is the graph's
-//! first stuck state with its breadth-first path. Both read the same witnesses the two literal walks
-//! ([`check_validity`] over [`sufs_net::SymState`]s, and
-//! [`sufs_net::find_stuck`]) would find; those walks survive as the
+//! breadth-first explorer, as a graph over integer state ids. One pass
+//! over its labels collects the policies to instantiate and the events
+//! the plan's runs fire ([`PlanReach`], which lint reads instead of
+//! exploring again). Security is [`check_explored`] over the graph's
+//! borrowed edges, and progress is the graph's first stuck state with
+//! its breadth-first path. Both read the same witnesses the two literal
+//! walks ([`sufs_policy::check_validity`] over [`sufs_net::SymState`]s,
+//! and [`sufs_net::find_stuck`]) would find; those walks survive as the
 //! differential oracle of `tests/verdict_equiv.rs`.
 //!
 //! A plan passing all three is *valid*: "switch off any run-time
@@ -52,6 +55,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cache::{CacheStats, VerifyCache};
@@ -61,10 +65,12 @@ use crate::report::VerifyReport;
 use sufs_contract::{compliant, Contract, ContractError, StuckWitness};
 use sufs_hexpr::requests::requests;
 use sufs_hexpr::wf::{self, WfError};
-use sufs_hexpr::{Hist, Location, RequestId};
+use sufs_hexpr::{Event, Hist, Location, RequestId};
 use sufs_net::symbolic::{self, StuckState};
 use sufs_net::{Plan, Repository};
-use sufs_policy::validity::{check_validity, SecurityViolation, ValidityError, Verdict};
+use sufs_policy::validity::{
+    check_explored, GraphLabels, SecurityViolation, ValidityError, Verdict,
+};
 use sufs_policy::PolicyRegistry;
 
 /// The bound on symbolic states per plan. It caps the explored graph
@@ -227,8 +233,41 @@ fn witness_of(
     }
 }
 
+/// What the exploration behind a verdict yields besides the verdict:
+/// the events some run of the client under the plan fires, and how many
+/// symbolic states are reachable. Lint reads the events off the verdict
+/// rows, so no plan is explored twice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanReach {
+    /// The distinct event labels of the symbolic state space, sorted.
+    pub events: Arc<[Event]>,
+    /// The number of reachable symbolic states.
+    states: usize,
+}
+
+impl PlanReach {
+    /// Explores the symbolic state space of `client` under `plan` once
+    /// and collects its events; `None` if more than `bound` states are
+    /// reachable. For callers that need reachability without a verdict.
+    pub fn explore(client: &Hist, plan: &Plan, repo: &Repository, bound: usize) -> Option<Self> {
+        let graph = symbolic::explore("client", client.clone(), plan, repo, bound).ok()?;
+        Some(PlanReach {
+            events: GraphLabels::of(&graph).events.into(),
+            states: graph.len(),
+        })
+    }
+
+    /// Whether exploring the same space under `bound` would have
+    /// completed, as [`PlanReach::explore`] with that bound: the explorer
+    /// fails once it finds a new state while holding `bound` of them.
+    pub fn within(&self, bound: usize) -> bool {
+        self.states <= bound.max(1)
+    }
+}
+
 /// The three per-plan checks, with projection and pairwise compliance
-/// optionally served from `cache`. The caller is responsible for the
+/// optionally served from `cache`, together with the [`PlanReach`] of
+/// the one exploration they share. The caller is responsible for the
 /// (per-client, not per-plan) well-formedness check.
 pub(crate) fn check_plan(
     client: &Hist,
@@ -236,7 +275,7 @@ pub(crate) fn check_plan(
     repo: &Repository,
     registry: &PolicyRegistry,
     cache: Option<&VerifyCache>,
-) -> Result<PlanVerdict, VerifyError> {
+) -> Result<(PlanVerdict, PlanReach), VerifyError> {
     let mut violations = Vec::new();
 
     // 1. Per-request compliance (client request bodies and the requests
@@ -265,17 +304,14 @@ pub(crate) fn check_plan(
     }
 
     // 2–3. One exploration of the symbolic state space serves both
-    //      remaining checks.
+    //      remaining checks, and one pass over its labels yields the
+    //      policies to instantiate and the events it fires.
     let graph = symbolic::explore("client", client.clone(), plan, repo, DEFAULT_STATE_BOUND)
         .map_err(|e| ValidityError::BoundExceeded(e.bound))?;
+    let labels = GraphLabels::of(&graph);
 
     // 2. Security: model-check the explored graph over its state ids.
-    let verdict = check_validity(
-        0usize,
-        |&id| graph.edges(id).to_vec(),
-        registry,
-        DEFAULT_STATE_BOUND,
-    )?;
+    let verdict = check_explored(&graph, &labels.policies, registry, DEFAULT_STATE_BOUND)?;
     if let Verdict::Violation(v) = verdict {
         violations.push(Violation::Security(v));
     }
@@ -288,10 +324,15 @@ pub(crate) fn check_plan(
         }
     }
 
-    Ok(PlanVerdict {
+    let verdict = PlanVerdict {
         plan: plan.clone(),
         violations,
-    })
+    };
+    let reach = PlanReach {
+        events: labels.events.into(),
+        states: graph.len(),
+    };
+    Ok((verdict, reach))
 }
 
 /// Verifies one candidate plan for `client` (at the implicit location
@@ -309,7 +350,7 @@ pub fn verify_plan(
     registry: &PolicyRegistry,
 ) -> Result<PlanVerdict, VerifyError> {
     wf::check(client).map_err(VerifyError::IllFormedClient)?;
-    check_plan(client, plan, repo, registry, None)
+    Ok(check_plan(client, plan, repo, registry, None)?.0)
 }
 
 /// Which synthesis engine answers a query.
@@ -496,8 +537,8 @@ pub fn synthesize(
         })?;
     let verdicts = plans
         .iter()
-        .map(|plan| check_plan(client, plan, repo, registry, None))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|plan| Ok(check_plan(client, plan, repo, registry, None)?.0))
+        .collect::<Result<Vec<_>, VerifyError>>()?;
     let stats = SynthStats {
         candidates: verdicts.len(),
         pruned_subtrees,
@@ -747,6 +788,23 @@ mod tests {
             valid[0].service_for(RequestId::new(3)),
             Some(&Location::new("goodleaf"))
         );
+    }
+
+    #[test]
+    fn reach_within_a_bound_agrees_with_exploring_under_it() {
+        let (client, repo) = mixed_repo();
+        let plan = Plan::new().with(1u32, "good1").with(2u32, "good2");
+        let (verdict, reach) =
+            check_plan(&client, &plan, &repo, &PolicyRegistry::new(), None).unwrap();
+        assert!(verdict.is_valid());
+        assert!(reach.states > 2);
+        for bound in 0..=reach.states + 1 {
+            let explored = PlanReach::explore(&client, &plan, &repo, bound);
+            assert_eq!(reach.within(bound), explored.is_some(), "bound {bound}");
+            if let Some(explored) = explored {
+                assert_eq!(explored, reach);
+            }
+        }
     }
 
     #[test]

@@ -7,13 +7,23 @@
 //! state to analyze — so the same passes run over a parsed
 //! [`Scenario`] *and* over a broker's live [`Repository`]. Repeated
 //! builds can share an [`AnalysisCaches`], which memoizes the expensive
-//! sub-analyses (stand-alone LTSs, candidate plan spaces, whole
-//! per-client reports, composed-execution reachability) keyed by
-//! `sufs-hexpr::shash` structural fingerprints of everything they read,
-//! so no entry can go stale and re-analyzing a repository after a
-//! single mutation only pays for what changed. Per-plan verdicts are
-//! rows of a [`VerifyCache`], which a broker shares with its composed
-//! products: a verdict computed here is a hit for the next `plan` read.
+//! sub-analyses keyed by `sufs-hexpr::shash` structural fingerprints of
+//! everything they read, so no entry can go stale and re-analyzing a
+//! repository after a single mutation only pays for what changed:
+//!
+//! * stand-alone LTSs and ground events per behaviour;
+//! * candidate plan spaces per client, keyed by the requests each
+//!   service exposes;
+//! * one **lint row** per client: the verification report over its
+//!   candidates, the events their composed executions fire, and each
+//!   bound location's share of those events. A build whose rows are
+//!   current costs O(locations) per client, not O(candidates).
+//!
+//! A row that misses reads each candidate's verdict row from a
+//! [`VerifyCache`], which a broker shares with its composed products: a
+//! verdict computed here is a hit for the next `plan` read, and its
+//! [`PlanReach`] carries the events of the one exploration behind it, so
+//! each candidate is explored at most once.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -22,11 +32,10 @@ use sufs_core::cache::{StateView, VerifyCache};
 use sufs_core::plans::{enumerate_plans, PlanSpaceExceeded, DEFAULT_PLAN_CAP};
 use sufs_core::report::VerifyReport;
 use sufs_core::scenario::{Scenario, SpanTable, SrcPos};
-use sufs_core::verify::{VerifyError, DEFAULT_STATE_BOUND};
+use sufs_core::verify::{PlanReach, VerifyError, DEFAULT_STATE_BOUND};
 use sufs_hexpr::requests::requests;
 use sufs_hexpr::shash::stable_hash_of;
-use sufs_hexpr::{wf, Event, Hist, HistLts, Label, Location, PolicyRef, RequestId};
-use sufs_net::symbolic;
+use sufs_hexpr::{wf, Event, Hist, HistLts, Location, PolicyRef, RequestId};
 use sufs_net::{Plan, Repository};
 use sufs_policy::cost::CostBound;
 use sufs_policy::PolicyRegistry;
@@ -94,42 +103,82 @@ pub struct AnalysisCaches {
     lts: HashMap<(u64, usize), Arc<HistLts>>,
     /// Per-behaviour ground events keyed by behaviour fingerprint.
     events: HashMap<u64, Arc<BTreeSet<Event>>>,
-    /// Composed-execution reachability keyed by a fingerprint of
-    /// `(client, plan, selected service behaviours and capacities,
-    /// bound)`.
-    composed: HashMap<u64, Option<Arc<BTreeSet<Event>>>>,
-    /// Candidate plan spaces (with per-plan [`PlanMeta`]) keyed by a
-    /// fingerprint of `(client, cap, per-location exposed requests)` —
-    /// enumeration only looks at which requests each service exposes,
-    /// never at the rest of its body, so most mutations reuse the
-    /// plans outright.
+    /// Candidate plan spaces keyed by a fingerprint of `(client, cap,
+    /// per-location exposed requests)` — enumeration only looks at
+    /// which requests each service exposes, never at the rest of its
+    /// body, so most mutations reuse the plans outright.
     plans: HashMap<u64, PlanSpace>,
     /// Exposed-request fingerprints keyed by behaviour fingerprint.
     exposed: HashMap<u64, u64>,
-    /// Whole per-client reports keyed by a fingerprint of `(plan
-    /// space, what its rows read)`: a re-lint of a previously seen
-    /// state reuses the report without cloning a single verdict.
-    reports: HashMap<u64, Arc<VerifyReport>>,
+    /// Lint rows keyed by a fingerprint of `(plan space, what its
+    /// verdicts read, bound, whether verification runs)`.
+    rows: HashMap<u64, Arc<LintRow>>,
 }
 
-/// A cached plan space: the candidate plans plus per-plan metadata
-/// (structural fingerprint and distinct bound locations), computed once
-/// per enumeration instead of once per refresh.
+/// A cached plan space: the candidate plans, the distinct locations
+/// they bind, and which of those each plan binds — computed once per
+/// enumeration instead of once per refresh.
 #[derive(Debug, Clone)]
 struct PlanSpace {
+    /// The fingerprint the space is memoized under.
+    key: u64,
     plans: Arc<Vec<Plan>>,
-    meta: Arc<Vec<PlanMeta>>,
     /// The distinct locations any plan binds, sorted.
     locs: Arc<Vec<Location>>,
+    /// Per plan, the indices into `locs` of the locations it binds.
+    slots: Arc<Vec<Vec<usize>>>,
 }
 
-/// Precomputed per-plan facts every refresh needs.
+/// Everything lint derives from one client's candidate plans over one
+/// state.
 #[derive(Debug)]
-struct PlanMeta {
-    /// Structural fingerprint of the plan.
-    fp: u64,
-    /// The distinct locations the plan binds, sorted.
-    locs: Vec<Location>,
+struct LintRow {
+    /// The verification report (empty when verification is skipped).
+    report: Arc<VerifyReport>,
+    /// Events some composed execution under some candidate fires.
+    events: Arc<BTreeSet<Event>>,
+    /// Whether every candidate was explored to completion.
+    explored_all: bool,
+    /// Per location of the plan space, in order: the events of every
+    /// candidate binding it, and whether each of those explorations
+    /// completed.
+    locs: Vec<(BTreeSet<Event>, bool)>,
+}
+
+impl LintRow {
+    /// Folds the candidates' reachability (`None`: not explored within
+    /// the bound) into the client's and each bound location's share.
+    fn new(report: VerifyReport, reaches: &[Option<PlanReach>], space: &PlanSpace) -> LintRow {
+        let mut events: BTreeSet<&Event> = BTreeSet::new();
+        let mut explored_all = true;
+        let mut locs: Vec<(BTreeSet<&Event>, bool)> =
+            vec![(BTreeSet::new(), true); space.locs.len()];
+        for (reach, slots) in reaches.iter().zip(space.slots.iter()) {
+            match reach {
+                Some(reach) => {
+                    events.extend(reach.events.iter());
+                    for &slot in slots {
+                        locs[slot].0.extend(reach.events.iter());
+                    }
+                }
+                None => {
+                    explored_all = false;
+                    for &slot in slots {
+                        locs[slot].1 = false;
+                    }
+                }
+            }
+        }
+        LintRow {
+            report: Arc::new(report),
+            events: Arc::new(events.into_iter().cloned().collect()),
+            explored_all,
+            locs: locs
+                .into_iter()
+                .map(|(events, explored)| (events.into_iter().cloned().collect(), explored))
+                .collect(),
+        }
+    }
 }
 
 impl AnalysisCaches {
@@ -143,10 +192,9 @@ impl AnalysisCaches {
         }
         bound(&mut self.lts, limit);
         bound(&mut self.events, limit);
-        bound(&mut self.composed, limit);
         bound(&mut self.plans, limit);
         bound(&mut self.exposed, limit);
-        bound(&mut self.reports, limit);
+        bound(&mut self.rows, limit);
     }
 
     fn lts_for(
@@ -183,8 +231,7 @@ impl AnalysisCaches {
     /// service exposes ([`sufs_core::plans`] closes bindings over
     /// those), so the key folds the per-location exposed-request
     /// fingerprints: a body edit that keeps a service's requests
-    /// intact reuses the enumeration. Returns the key alongside so the
-    /// report over the same plan space can be addressed.
+    /// intact reuses the enumeration.
     fn plans_for(
         &mut self,
         client: &Hist,
@@ -192,7 +239,7 @@ impl AnalysisCaches {
         repo: &Repository,
         cap: usize,
         loc_info: &BTreeMap<&Location, [u64; 3]>,
-    ) -> Result<(u64, PlanSpace), PlanSpaceExceeded> {
+    ) -> Result<PlanSpace, PlanSpaceExceeded> {
         let mut key: Vec<u64> = vec![client_fp, cap as u64];
         for (loc, [name_fp, body_fp, _]) in loc_info {
             let exposed = match self.exposed.get(body_fp) {
@@ -209,26 +256,89 @@ impl AnalysisCaches {
         }
         let pkey = stable_hash_of(&key);
         if let Some(space) = self.plans.get(&pkey) {
-            return Ok((pkey, space.clone()));
+            return Ok(space.clone());
         }
         let plans = Arc::new(enumerate_plans(client, repo, cap)?);
-        let meta: Arc<Vec<PlanMeta>> = Arc::new(
-            plans
+        let locs: BTreeSet<&Location> = plans
+            .iter()
+            .flat_map(|p| p.iter().map(|(_, l)| l))
+            .collect();
+        let locs: Vec<Location> = locs.into_iter().cloned().collect();
+        let slots = plans
+            .iter()
+            .map(|plan| {
+                let slots: BTreeSet<usize> = plan
+                    .iter()
+                    .map(|(_, l)| {
+                        locs.binary_search(l)
+                            .expect("a plan binds a location of its space")
+                    })
+                    .collect();
+                slots.into_iter().collect()
+            })
+            .collect();
+        let space = PlanSpace {
+            key: pkey,
+            plans,
+            locs: Arc::new(locs),
+            slots: Arc::new(slots),
+        };
+        self.plans.insert(pkey, space.clone());
+        Ok(space)
+    }
+
+    /// The lint row of client `name` over `space`. A miss reads each
+    /// candidate's verdict row when `verified`, and otherwise explores
+    /// each candidate once under `bound`.
+    fn row_for(
+        &mut self,
+        (name, client): (&str, &Hist),
+        space: &PlanSpace,
+        state: &StateView<'_>,
+        bound: usize,
+        verified: bool,
+    ) -> Result<Arc<LintRow>, LintError> {
+        // The row is a function of the plan space, of what its
+        // verdicts and explorations read, of the bound, and of whether
+        // verification runs at all.
+        let reads = state.fingerprints().reads(space.locs.iter());
+        let key = stable_hash_of(&(space.key, reads, bound, verified));
+        if let Some(row) = self.rows.get(&key) {
+            return Ok(Arc::clone(row));
+        }
+        let row = if verified {
+            let verify_error = |error| LintError::Verify {
+                client: name.to_string(),
+                error,
+            };
+            // Well-formedness is per client, not per row.
+            if !space.plans.is_empty() {
+                wf::check(client).map_err(|e| verify_error(VerifyError::IllFormedClient(e)))?;
+            }
+            let client = Arc::new(client.clone());
+            let (verdicts, reaches): (Vec<_>, Vec<_>) = space
+                .plans
                 .iter()
                 .map(|plan| {
-                    let locs: BTreeSet<&Location> = plan.iter().map(|(_, l)| l).collect();
-                    PlanMeta {
-                        fp: stable_hash_of(plan),
-                        locs: locs.into_iter().cloned().collect(),
-                    }
+                    let (verdict, reach) = self.verify.verdict(&client, plan, state)?;
+                    Ok((verdict, reach.within(bound).then_some(reach)))
                 })
-                .collect(),
-        );
-        let locs: BTreeSet<&Location> = meta.iter().flat_map(|m| &m.locs).collect();
-        let locs = Arc::new(locs.into_iter().cloned().collect());
-        let space = PlanSpace { plans, meta, locs };
-        self.plans.insert(pkey, space.clone());
-        Ok((pkey, space))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(verify_error)?
+                .into_iter()
+                .unzip();
+            LintRow::new(VerifyReport::new(verdicts), &reaches, space)
+        } else {
+            let reaches: Vec<Option<PlanReach>> = space
+                .plans
+                .iter()
+                .map(|plan| PlanReach::explore(client, plan, state.repo(), bound))
+                .collect();
+            LintRow::new(VerifyReport::new(Vec::new()), &reaches, space)
+        };
+        let row = Arc::new(row);
+        self.rows.insert(key, Arc::clone(&row));
+        Ok(row)
     }
 }
 
@@ -244,14 +354,16 @@ pub struct ClientAnalysis {
     /// Every candidate plan (complete bindings over the repository),
     /// shared with the enumeration cache.
     pub plans: Arc<Vec<Plan>>,
+    /// The distinct locations the candidate plans bind, sorted.
+    pub locs: Arc<Vec<Location>>,
     /// The verification report over the candidates, shared with the
-    /// report cache. Empty (with `verified == false`) when an
+    /// client's lint row. Empty (with `verified == false`) when an
     /// unresolved policy reference prevents verification.
     pub report: Arc<VerifyReport>,
     /// Whether `report` was actually computed.
     pub verified: bool,
     /// Events some composed execution under some candidate plan fires.
-    pub reachable_events: BTreeSet<Event>,
+    pub reachable_events: Arc<BTreeSet<Event>>,
     /// Whether every candidate plan was explored to completion (a bound
     /// hit makes reachability information incomplete; passes must then
     /// stay silent rather than guess).
@@ -359,8 +471,8 @@ impl<'a> LintContext<'a> {
             .any(|o| input.registry.instantiate(&o.reference).is_err());
 
         // Per-location fingerprints `[name, behaviour, capacity]`:
-        // every cache key below (plans, reports, composed
-        // reachability) is assembled from these.
+        // every cache key below (plans, lint rows) is assembled from
+        // these.
         let fingerprints = state.fingerprints();
         let mut alphabet_union: BTreeSet<Event> = BTreeSet::new();
         let mut loc_info: BTreeMap<&Location, [u64; 3]> = BTreeMap::new();
@@ -382,99 +494,35 @@ impl<'a> LintContext<'a> {
         }
 
         let mut clients = Vec::new();
-        let mut key_buf: Vec<u64> = Vec::new();
         for (name, h) in input.clients {
             let client_hash = stable_hash_of(h);
             alphabet_union.extend(caches.events_of(client_hash, h).iter().cloned());
             let lts = caches.lts_for(|| format!("client {name}"), h, client_hash, bound)?;
-            let (pkey, space) = caches
+            let space = caches
                 .plans_for(h, client_hash, input.repository, plan_cap, &loc_info)
                 .map_err(|error| LintError::Plans {
                     client: name.clone(),
                     error,
                 })?;
-            let PlanSpace { plans, meta, locs } = space;
-
-            let mut reachable_events = BTreeSet::new();
-            let mut explored_all = true;
-            for (plan, meta) in plans.iter().zip(meta.iter()) {
-                for loc in &meta.locs {
-                    if let Some(s) = services.get_mut(loc) {
-                        s.selected = true;
-                    }
-                }
-                key_buf.clear();
-                key_buf.extend([client_hash, meta.fp, bound as u64]);
-                for loc in &meta.locs {
-                    key_buf.extend(loc_info.get(loc).expect("plans bind published locations"));
-                }
-                let events = match caches.composed.entry(stable_hash_of(&key_buf)) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-                    std::collections::hash_map::Entry::Vacant(e) => e
-                        .insert(composed_events(h, plan, input.repository, bound).map(Arc::new))
-                        .clone(),
-                };
-                match events {
-                    Some(events) => {
-                        reachable_events.extend(events.iter().cloned());
-                        for loc in &meta.locs {
-                            if let Some(s) = services.get_mut(loc) {
-                                s.reachable_events.extend(events.iter().cloned());
-                            }
-                        }
-                    }
-                    None => {
-                        explored_all = false;
-                        for loc in &meta.locs {
-                            if let Some(s) = services.get_mut(loc) {
-                                s.explored_all = false;
-                            }
-                        }
-                    }
+            let verified = !has_unresolved;
+            let row = caches.row_for((name, h), &space, state, bound, verified)?;
+            for (loc, (events, explored)) in space.locs.iter().zip(&row.locs) {
+                if let Some(s) = services.get_mut(loc) {
+                    s.selected = true;
+                    s.reachable_events.extend(events.iter().cloned());
+                    s.explored_all &= explored;
                 }
             }
-
-            let (report, verified) = if has_unresolved {
-                (Arc::new(VerifyReport::new(Vec::new())), false)
-            } else {
-                // The report is a function of the plan space and of what
-                // its rows read.
-                let rkey = stable_hash_of(&(pkey, fingerprints.reads(locs.iter())));
-                let report = match caches.reports.get(&rkey) {
-                    Some(report) => Arc::clone(report),
-                    None => {
-                        let verify_error = |error| LintError::Verify {
-                            client: name.clone(),
-                            error,
-                        };
-                        // Well-formedness is per client, not per row.
-                        if !plans.is_empty() {
-                            wf::check(h)
-                                .map_err(|e| verify_error(VerifyError::IllFormedClient(e)))?;
-                        }
-                        let client = Arc::new(h.clone());
-                        let verdicts = plans
-                            .iter()
-                            .map(|plan| caches.verify.verdict(&client, plan, state))
-                            .collect::<Result<Vec<_>, _>>()
-                            .map_err(verify_error)?;
-                        let report = Arc::new(VerifyReport::new(verdicts));
-                        caches.reports.insert(rkey, Arc::clone(&report));
-                        report
-                    }
-                };
-                (report, true)
-            };
-
             clients.push(ClientAnalysis {
                 name: name.clone(),
                 hist: h.clone(),
                 lts,
-                plans,
-                report,
+                plans: space.plans,
+                locs: space.locs,
+                report: Arc::clone(&row.report),
                 verified,
-                reachable_events,
-                explored_all,
+                reachable_events: Arc::clone(&row.events),
+                explored_all: row.explored_all,
             });
         }
 
@@ -531,23 +579,6 @@ fn span_or_start(map: Option<&BTreeMap<String, SrcPos>>, name: &str) -> SrcPos {
         .unwrap_or_else(SrcPos::start)
 }
 
-/// Every event some run of `client` under `plan` fires: the event
-/// labels of the composed symbolic state space; `None` if more than
-/// `bound` states are reachable.
-fn composed_events(
-    client: &Hist,
-    plan: &Plan,
-    repo: &Repository,
-    bound: usize,
-) -> Option<BTreeSet<Event>> {
-    let graph = symbolic::explore("client", client.clone(), plan, repo, bound).ok()?;
-    let events = graph.iter_edges().filter_map(|(_, label, _)| match label {
-        Label::Ev(e) => Some(e.clone()),
-        _ => None,
-    });
-    Some(events.collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,6 +621,112 @@ mod tests {
         assert!(!ctx.clients[0].verified);
         assert_eq!(ctx.policy_refs.len(), 1);
         assert_eq!(ctx.policy_refs[0].subject, "client c");
+    }
+
+    #[test]
+    fn a_cold_build_explores_each_candidate_once() {
+        let sc = parse_scenario(
+            r#"
+            client c { open 1 { int[ask -> eps]; ext[yes -> #won; eps | no -> eps] }; open 2 { int[ask -> eps] } }
+            service nay { ext[ask -> int[no -> eps]] }
+            service aye { ext[ask -> int[yes -> eps]] }
+            service mute { ext[zzz -> eps] }
+            "#,
+        )
+        .unwrap();
+        let mut caches = AnalysisCaches::default();
+        let state = StateView::of(&sc.repository, &sc.registry);
+        let mut build = |caches: &mut AnalysisCaches| {
+            let ctx = LintContext::build_cached(
+                LintInput::from(&sc),
+                &state,
+                DEFAULT_STATE_BOUND,
+                DEFAULT_PLAN_CAP,
+                caches,
+            )
+            .unwrap();
+            (
+                ctx.clients[0].plans.len(),
+                ctx.clients[0].reachable_events.clone(),
+            )
+        };
+        let (candidates, events) = build(&mut caches);
+        assert_eq!(candidates, 9);
+        assert!(events.contains(&Event::nullary("won")));
+        // The only exploration of a candidate is the one behind its
+        // verdict row: one miss per candidate, nothing else.
+        assert_eq!(caches.verify.stats().verdict, (0, candidates as u64));
+        // A rebuild over the same state reads the client's lint row and
+        // looks up no verdict at all.
+        assert_eq!(build(&mut caches).1, events);
+        assert_eq!(caches.verify.stats().verdict, (0, candidates as u64));
+    }
+
+    #[test]
+    fn a_space_past_the_engine_bound_counts_as_unexplored() {
+        // At bound 7 both components' own LTSs fit, the composition
+        // with `short` fits, and the composition with `long` does not,
+        // although its verdict row explored it under the default bound.
+        let sc = parse_scenario(
+            r#"
+            client c { open 1 { int[ping -> eps]; ext[yes -> #won | no -> eps] }; #start }
+            service short { ext[ping -> #tick; int[no -> eps]] }
+            service long { ext[ping -> #tick; #tock; int[no -> eps]] }
+            "#,
+        )
+        .unwrap();
+        let ctx = LintContext::build_with(&sc, 7, DEFAULT_PLAN_CAP).unwrap();
+        let c = &ctx.clients[0];
+        let explored: Vec<bool> = c
+            .plans
+            .iter()
+            .map(|plan| PlanReach::explore(&c.hist, plan, &sc.repository, 7).is_some())
+            .collect();
+        assert_eq!(explored.len(), 2);
+        assert_eq!(c.explored_all, explored.iter().all(|&e| e));
+        assert!(!c.explored_all);
+        let (long, short) = (
+            &ctx.services[&Location::new("long")],
+            &ctx.services[&Location::new("short")],
+        );
+        assert!(!long.explored_all && long.reachable_events.is_empty());
+        assert!(short.explored_all && short.reachable_events.contains(&Event::nullary("tick")));
+        assert!(!c.reachable_events.contains(&Event::nullary("tock")));
+        // Under the default bound everything is explored.
+        let ctx = LintContext::build(&sc).unwrap();
+        assert!(ctx.clients[0].explored_all);
+        assert!(ctx.clients[0]
+            .reachable_events
+            .contains(&Event::nullary("tock")));
+    }
+
+    #[test]
+    fn skipped_verification_still_explores_every_candidate() {
+        let sc = parse_scenario(
+            r#"
+            client c { open 1 phi ghost { int[ask -> eps]; ext[yes -> #won; eps | no -> eps] } }
+            service aye { ext[ask -> int[yes -> eps]] }
+            "#,
+        )
+        .unwrap();
+        let mut caches = AnalysisCaches::default();
+        let state = StateView::of(&sc.repository, &sc.registry);
+        let ctx = LintContext::build_cached(
+            LintInput::from(&sc),
+            &state,
+            DEFAULT_STATE_BOUND,
+            DEFAULT_PLAN_CAP,
+            &mut caches,
+        )
+        .unwrap();
+        let c = &ctx.clients[0];
+        assert!(!c.verified && c.report.is_empty());
+        assert!(c.explored_all);
+        assert!(c.reachable_events.contains(&Event::nullary("won")));
+        assert!(ctx.services[&Location::new("aye")]
+            .reachable_events
+            .contains(&Event::nullary("won")));
+        assert_eq!(caches.verify.stats().verdict, (0, 0));
     }
 
     #[test]

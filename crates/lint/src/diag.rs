@@ -169,6 +169,12 @@ impl Diagnostic {
         self
     }
 
+    /// The key of the documented diagnostic order: code, then source
+    /// position, then subject, then message.
+    pub(crate) fn sort_key(&self) -> (Code, SrcPos, &str, &str) {
+        (self.code, self.pos, &self.subject, &self.message)
+    }
+
     /// The severity (derived from the code).
     pub fn severity(&self) -> Severity {
         self.code.severity()
@@ -260,6 +266,32 @@ impl LintReport {
         self.diagnostics.is_empty()
     }
 
+    /// The diagnostics of this report that `earlier` does not contain,
+    /// in order. Both reports must be in the documented order (every
+    /// report this crate builds is), so one merge pass finds them; a run
+    /// of diagnostics with equal sort keys is compared in full, since
+    /// they may still differ in note or witness.
+    pub fn not_in<'a>(&'a self, earlier: &LintReport) -> Vec<&'a Diagnostic> {
+        let mut i = 0;
+        self.diagnostics
+            .iter()
+            .filter(|d| {
+                let key = d.sort_key();
+                while earlier
+                    .diagnostics
+                    .get(i)
+                    .is_some_and(|e| e.sort_key() < key)
+                {
+                    i += 1;
+                }
+                !earlier.diagnostics[i..]
+                    .iter()
+                    .take_while(|e| e.sort_key() == key)
+                    .any(|e| e == *d)
+            })
+            .collect()
+    }
+
     /// The JSON document for `--json` output: `file` is the path the
     /// caller read the scenario from, if any.
     pub fn to_json(&self, file: Option<&str>) -> String {
@@ -319,6 +351,39 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn not_in_is_the_ordered_set_difference() {
+        let d = |code, subject: &str, note: &str| {
+            Diagnostic::new(code, SrcPos::start(), subject, "m").with_note(note)
+        };
+        let report = |mut diagnostics: Vec<Diagnostic>| {
+            crate::sort_diagnostics(&mut diagnostics);
+            LintReport { diagnostics }
+        };
+        let earlier = report(vec![
+            d(Code::DeadService, "service a", "x"),
+            d(Code::DeadService, "service b", "x"),
+            d(Code::SinglePointOfFailure, "service a", "x"),
+        ]);
+        let later = report(vec![
+            d(Code::DeadService, "service b", "x"),
+            // Same sort key as an earlier finding, different note.
+            d(Code::DeadService, "service b", "y"),
+            d(Code::EmptyPlanSpace, "client c", "x"),
+            d(Code::SinglePointOfFailure, "service a", "x"),
+            d(Code::SinglePointOfFailure, "service z", "x"),
+        ]);
+        let naive: Vec<&Diagnostic> = later
+            .diagnostics
+            .iter()
+            .filter(|x| !earlier.diagnostics.contains(x))
+            .collect();
+        assert_eq!(later.not_in(&earlier), naive);
+        assert_eq!(naive.len(), 3);
+        assert!(earlier.not_in(&earlier).is_empty());
+        assert_eq!(earlier.not_in(&LintReport::default()).len(), 3);
+    }
 
     #[test]
     fn codes_are_stable_and_distinct() {

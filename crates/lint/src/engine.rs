@@ -7,17 +7,21 @@
 //! keys on): each client behaviour, each published service behaviour,
 //! each capacity annotation, each policy automaton, and the budget
 //! list. A [`refresh`](LintEngine::refresh) diffs the fingerprints
-//! against the previous state, rebuilds the [`LintContext`] through the
-//! engine's [`AnalysisCaches`] (stand-alone LTSs, per-plan verdict rows
-//! and composed reachability all become lookups for unchanged
-//! components; every cache is content-addressed, so none needs
-//! invalidating), and then walks the passes: a pass none of whose
-//! [`Dep`] kinds changed gets its previous diagnostics spliced back
-//! verbatim; the rest re-run. The verdict rows live in a
-//! [`VerifyCache`], which [`LintEngine::with_cache`] shares with other
-//! consumers — a broker's composed products read the same rows.
-//! The result is equal to a cold full re-lint — enforced by the seeded
-//! property suite in `tests/lint_incremental.rs`.
+//! against the previous state and rebuilds the [`LintContext`] through
+//! the engine's [`AnalysisCaches`]: stand-alone LTSs and plan spaces are
+//! lookups for unchanged components, and each client whose plan space
+//! binds no changed location reads its lint row (report, reachable
+//! events, per-location shares) in one lookup. Every cache is
+//! content-addressed, so none needs invalidating. The context's
+//! vocabulary — its event alphabet and policy references with their
+//! origins — is fingerprinted too ([`Dep::Vocabulary`]), since a
+//! service edit usually leaves it unchanged. Then the engine walks the
+//! passes: a pass none of whose [`Dep`] kinds changed gets its previous
+//! diagnostics spliced back verbatim; the rest re-run. The verdict rows
+//! live in a [`VerifyCache`], which [`LintEngine::with_cache`] shares
+//! with other consumers — a broker's composed products read the same
+//! rows. The result is equal to a cold full re-lint — enforced by the
+//! seeded property suites in `tests/lint_incremental.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -108,8 +112,10 @@ pub struct LintEngine {
     plan_cap: usize,
     caches: AnalysisCaches,
     state: Option<Fingerprints>,
+    /// The [`Dep::Vocabulary`] fingerprint of the last refreshed state.
+    vocabulary: Option<u64>,
     pass_cache: Vec<PassEntry>,
-    report: LintReport,
+    report: Arc<LintReport>,
 }
 
 impl LintEngine {
@@ -134,13 +140,16 @@ impl LintEngine {
             plan_cap,
             caches: AnalysisCaches::default(),
             state: None,
+            vocabulary: None,
             pass_cache: Vec::new(),
-            report: LintReport::default(),
+            report: Arc::default(),
         }
     }
 
     /// The report as of the last successful [`refresh`](Self::refresh).
-    pub fn report(&self) -> &LintReport {
+    /// A refresh that changes nothing keeps the same allocation, so a
+    /// caller can hold on to a baseline without copying it.
+    pub fn report(&self) -> &Arc<LintReport> {
         &self.report
     }
 
@@ -154,13 +163,14 @@ impl LintEngine {
     pub fn refresh(&mut self, input: LintInput<'_>) -> Result<RefreshOutcome, LintError> {
         let state = StateView::of(input.repository, input.registry);
         let fp = Fingerprints::of(&input, &state);
-        let changed = match &self.state {
+        let mut changed = match &self.state {
             None => BTreeSet::from([
                 Dep::Clients,
                 Dep::Services,
                 Dep::Capacities,
                 Dep::Policies,
                 Dep::Budgets,
+                Dep::Vocabulary,
             ]),
             Some(prev) => fp.changed_kinds(prev),
         };
@@ -175,6 +185,13 @@ impl LintEngine {
 
         let ctx =
             LintContext::build_cached(input, &state, self.bound, self.plan_cap, &mut self.caches)?;
+        // The vocabulary is derived from clients and services, so it is
+        // fingerprinted off the built context: most service edits leave
+        // it, and the passes reading only it, untouched.
+        let vocabulary = vocabulary_of(&ctx);
+        if self.vocabulary != Some(vocabulary) {
+            changed.insert(Dep::Vocabulary);
+        }
         let mut outcome = RefreshOutcome::default();
         let mut diagnostics = Vec::new();
         let mut next_cache = Vec::new();
@@ -202,10 +219,22 @@ impl LintEngine {
         }
         sort_diagnostics(&mut diagnostics);
         self.pass_cache = next_cache;
-        self.report = LintReport { diagnostics };
+        self.report = Arc::new(LintReport { diagnostics });
         self.state = Some(fp);
+        self.vocabulary = Some(vocabulary);
         Ok(outcome)
     }
+}
+
+/// The fingerprint behind [`Dep::Vocabulary`]: the alphabet and every
+/// policy reference with its origin's subject and position.
+fn vocabulary_of(ctx: &LintContext<'_>) -> u64 {
+    let refs: Vec<_> = ctx
+        .policy_refs
+        .iter()
+        .map(|o| (&o.subject, o.pos, &o.reference))
+        .collect();
+    stable_hash_of(&(&ctx.alphabet, refs))
 }
 
 #[cfg(test)]
@@ -233,6 +262,25 @@ mod tests {
         assert_eq!(second.passes_run, 0);
         assert_eq!(second.passes_reused, first.passes_run);
         assert_eq!(engine.report().to_json(None), cold.to_json(None));
+    }
+
+    #[test]
+    fn engine_tracks_capacity_changes() {
+        // Capacity alone decides whether `#after` is reachable: the
+        // nested session cannot open at a saturated `s`.
+        let capped = "client c { open 1 { int[q -> eps] } }
+             service s cap 1 { ext[q -> open 2 { int[w -> eps] }; #after | w -> eps] }";
+        let free = capped.replace(" cap 1", "");
+        let (capped, free) = (
+            parse_scenario(capped).unwrap(),
+            parse_scenario(&free).unwrap(),
+        );
+        let mut engine = LintEngine::new();
+        for sc in [&capped, &free, &capped] {
+            engine.refresh(LintInput::from(sc)).unwrap();
+            let cold = lint_scenario(sc).unwrap();
+            assert_eq!(engine.report().to_json(None), cold.to_json(None));
+        }
     }
 
     #[test]

@@ -153,9 +153,7 @@ fn run_passes(ctx: &LintContext<'_>) -> LintReport {
 /// the incremental engine: code, then source position, then subject,
 /// then message.
 pub(crate) fn sort_diagnostics(diagnostics: &mut [Diagnostic]) {
-    diagnostics.sort_by(|a, b| {
-        (a.code, a.pos, &a.subject, &a.message).cmp(&(b.code, b.pos, &b.subject, &b.message))
-    });
+    diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
 }
 
 #[cfg(test)]

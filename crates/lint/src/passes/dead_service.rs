@@ -47,9 +47,7 @@ impl Pass for DeadService {
             for plan in c.report.valid_plans() {
                 valid_locs.extend(plan.iter().map(|(_, l)| l));
             }
-            for plan in c.plans.iter() {
-                candidate_locs.extend(plan.iter().map(|(_, l)| l));
-            }
+            candidate_locs.extend(c.locs.iter());
         }
         let mut out = Vec::new();
         for loc in ctx.services.keys() {

@@ -42,6 +42,10 @@ pub enum Dep {
     Policies,
     /// Quantitative budgets.
     Budgets,
+    /// The ground event alphabet together with every policy reference
+    /// and its origin (subject and position): what the context derives
+    /// from clients and services that the policy-language passes read.
+    Vocabulary,
 }
 
 /// One lint pass: a self-contained analysis emitting diagnostics of a

@@ -29,10 +29,9 @@ impl Pass for PolicySubsumption {
     }
 
     fn deps(&self) -> &'static [Dep] {
-        // Languages are compared over the alphabet (clients+services);
-        // the references come from behaviours and resolve against the
-        // registry.
-        &[Dep::Clients, Dep::Services, Dep::Policies]
+        // Languages are compared over the alphabet; the references
+        // (with their origins) resolve against the registry.
+        &[Dep::Vocabulary, Dep::Policies]
     }
 
     fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {

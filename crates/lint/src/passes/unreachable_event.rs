@@ -31,9 +31,9 @@ impl Pass for UnreachableEvent {
 
     fn deps(&self) -> &'static [Dep] {
         // Reachability is over compositions of clients with selected
-        // services; policies only gate whether verification runs, not
-        // what is reachable.
-        &[Dep::Clients, Dep::Services]
+        // services, and a saturated capacity blocks an `open`; policies
+        // only gate whether verification runs, not what is reachable.
+        &[Dep::Clients, Dep::Services, Dep::Capacities]
     }
 
     fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {

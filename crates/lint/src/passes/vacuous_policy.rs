@@ -31,9 +31,10 @@ impl Pass for VacuousPolicy {
     }
 
     fn deps(&self) -> &'static [Dep] {
-        // The alphabet comes from client and service behaviours, the
-        // automata from the registry, and budget names are exempt.
-        &[Dep::Clients, Dep::Services, Dep::Policies, Dep::Budgets]
+        // The alphabet and the instantiated references (with their
+        // origins), the automata from the registry, and budget names,
+        // which are exempt.
+        &[Dep::Vocabulary, Dep::Policies, Dep::Budgets]
     }
 
     fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {

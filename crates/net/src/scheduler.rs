@@ -17,6 +17,8 @@
 //! monitor off and committed choices, and checks that no run aborts or
 //! deadlocks.
 
+use std::collections::HashSet;
+
 use sufs_rng::Rng;
 
 use crate::faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryTable};
@@ -733,9 +735,13 @@ fn find_unmatched_send(sess: &Sess) -> Option<(Channel, Location)> {
         return None;
     };
     for (loc, h, partner) in [(l1, h1, h2), (l2, h2, h1)] {
+        // The partner's LTS is built at most once per pair, on the
+        // sender's first enabled output.
+        let mut inputs = None;
         for (label, _) in successors(h) {
             if let Label::Chan(c, Dir::Out) = &label {
-                if !can_ever_receive(partner, c) {
+                let inputs = inputs.get_or_insert_with(|| receivable_inputs(partner));
+                if inputs.as_ref().is_some_and(|set| !set.contains(c)) {
                     return Some((c.clone(), loc.clone()));
                 }
             }
@@ -744,14 +750,16 @@ fn find_unmatched_send(sess: &Sess) -> Option<(Channel, Location)> {
     None
 }
 
-/// Whether some state of the partner's stand-alone LTS offers the input
-/// `chan`. A partner whose LTS exceeds the default bound (only an
-/// ill-formed one can) is not blamed.
-fn can_ever_receive(h: &sufs_hexpr::Hist, chan: &Channel) -> bool {
-    HistLts::build(h).map_or(true, |lts| {
-        lts.iter_edges()
-            .any(|(_, label, _)| matches!(label, Label::Chan(c, Dir::In) if c == chan))
-    })
+/// Every input some state of the partner's stand-alone LTS offers.
+/// `None` when the LTS exceeds the default bound (only an ill-formed
+/// partner's can): such a partner is not blamed.
+fn receivable_inputs(h: &sufs_hexpr::Hist) -> Option<HashSet<Channel>> {
+    let lts = HistLts::build(h).ok()?;
+    let inputs = lts.iter_edges().filter_map(|(_, label, _)| match label {
+        Label::Chan(c, Dir::In) => Some(c.clone()),
+        _ => None,
+    });
+    Some(inputs.collect())
 }
 
 /// Convenience: builds a single-client network and runs it.
@@ -1146,6 +1154,32 @@ mod tests {
         let (chan, sender) = seen.expect("an unmatched del-send in 50 committed runs");
         assert_eq!(chan, Channel::new("del"));
         assert_eq!(sender, Location::new("flaky_srv"));
+    }
+
+    #[test]
+    fn unmatched_send_is_found_among_several_outputs() {
+        // A leaf offering three outputs to a partner that receives only
+        // two of them: the third is the unmatched send, blamed on the
+        // sender, whatever the order of the outputs.
+        let partner = parse_hist("ext[a -> eps | b -> eps]").unwrap();
+        let pair = |sender: &str| {
+            Sess::pair(
+                Sess::leaf("c1", parse_hist(sender).unwrap()),
+                Sess::leaf("srv", partner.clone()),
+            )
+        };
+        for sender in [
+            "int[a -> eps | b -> eps | z -> eps]",
+            "int[z -> eps | a -> eps | b -> eps]",
+        ] {
+            assert_eq!(
+                find_unmatched_send(&pair(sender)),
+                Some((Channel::new("z"), Location::new("c1"))),
+                "{sender}"
+            );
+        }
+        // Every output receivable: nothing to blame.
+        assert_eq!(find_unmatched_send(&pair("int[a -> eps | b -> eps]")), None);
     }
 
     #[test]

@@ -58,4 +58,6 @@ pub use history::{History, HistoryItem};
 pub use instance::PolicyInstance;
 pub use registry::{PolicyError, PolicyRegistry};
 pub use usage::{UsageAutomaton, UsageBuilder};
-pub use validity::{check_validity, SecurityViolation, ValidityError, Verdict};
+pub use validity::{
+    check_explored, check_validity, GraphLabels, SecurityViolation, ValidityError, Verdict,
+};

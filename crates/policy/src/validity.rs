@@ -10,13 +10,14 @@
 //! are well nested (depths are bounded by the syntactic nesting), the
 //! product is finite and validity is a plain safety/reachability check.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 
 use crate::instance::PolicyInstance;
 use crate::registry::{PolicyError, PolicyRegistry};
-use sufs_hexpr::{Label, PolicyRef};
+use sufs_hexpr::{Event, Label, Lts, PolicyRef};
 
 /// A security violation found by the model checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,8 +128,82 @@ where
 {
     // Phase 1: discover the policy universe by exploring the plain LTS.
     let instances = collect_instances(&initial, &mut succ, registry, bound)?;
-
     // Phase 2: product exploration with per-instance tracks.
+    product_walk(initial, succ, &instances, bound)
+}
+
+/// What one pass over the labels of an explored transition system
+/// finds: the policies its edges mention, in breadth-first order of
+/// first occurrence (the instance order [`check_validity`] uses), and
+/// the distinct events its edges fire, sorted.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct GraphLabels {
+    /// Every policy reference on a framing or session label.
+    pub policies: Vec<PolicyRef>,
+    /// Every event label.
+    pub events: Vec<Event>,
+}
+
+impl GraphLabels {
+    /// Scans every edge of `graph` once, in state-id order. [`Lts`] ids
+    /// are breadth-first discovery order, so the policies come out in
+    /// the order a breadth-first walk of the graph meets them.
+    pub fn of<K>(graph: &Lts<K, Label>) -> GraphLabels {
+        let mut policies: Vec<&PolicyRef> = Vec::new();
+        let mut events: BTreeSet<&Event> = BTreeSet::new();
+        for (_, label, _) in graph.iter_edges() {
+            if let Label::Ev(e) = label {
+                events.insert(e);
+            } else if let Some(p) = policy_of(label) {
+                if !policies.contains(&p) {
+                    policies.push(p);
+                }
+            }
+        }
+        GraphLabels {
+            policies: policies.into_iter().cloned().collect(),
+            events: events.into_iter().cloned().collect(),
+        }
+    }
+}
+
+/// [`check_validity`] over an already explored transition system,
+/// reading its edges by reference. `policies` are the graph's
+/// [`GraphLabels::policies`]; the verdict and its witness are those
+/// `check_validity` returns from the graph's initial state.
+///
+/// # Errors
+///
+/// As [`check_validity`].
+pub fn check_explored<K>(
+    graph: &Lts<K, Label>,
+    policies: &[PolicyRef],
+    registry: &PolicyRegistry,
+    bound: usize,
+) -> Result<Verdict, ValidityError> {
+    let instances = policies
+        .iter()
+        .map(|p| registry.instantiate(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    let succ = |&id: &usize| graph.edges(id).iter().map(|(label, to)| (label, *to));
+    product_walk(graph.initial(), succ, &instances, bound)
+}
+
+/// The breadth-first walk of the product of a transition system with
+/// one track per policy instance, stopping at the first bad state.
+/// Labels are cloned only into the parent links of new product states.
+fn product_walk<K, B, I, F>(
+    initial: K,
+    mut succ: F,
+    instances: &[PolicyInstance],
+    bound: usize,
+) -> Result<Verdict, ValidityError>
+where
+    K: Clone + Eq + Hash,
+    B: Borrow<Label>,
+    I: IntoIterator<Item = (B, K)>,
+    F: FnMut(&K) -> I,
+{
     let tracks0: Tracks = instances.iter().map(|i| (i.initial(), 0)).collect();
     let start = (initial, tracks0);
     let mut index: HashMap<(K, Tracks), usize> = HashMap::new();
@@ -140,8 +215,9 @@ where
     while let Some(id) = queue.pop_front() {
         let (k, tracks) = states[id].clone();
         for (label, k2) in succ(&k) {
+            let label = label.borrow();
             let mut t2 = tracks.clone();
-            apply_label(&label, &instances, &mut t2);
+            apply_label(label, instances, &mut t2);
             // Bad state?
             if let Some(pos) = t2
                 .iter()
@@ -149,7 +225,7 @@ where
                 .position(|(i, (set, depth))| *depth > 0 && instances[i].offends(set))
             {
                 let mut witness = reconstruct(&parents, id);
-                witness.push(label);
+                witness.push(label.clone());
                 return Ok(Verdict::Violation(SecurityViolation {
                     policy: instances[pos].reference().clone(),
                     witness,
@@ -163,7 +239,7 @@ where
                 }
                 index.insert(key.clone(), nid);
                 states.push(key);
-                parents.push(Some((id, label)));
+                parents.push(Some((id, label.clone())));
                 queue.push_back(nid);
             }
         }
@@ -251,7 +327,7 @@ mod tests {
     use super::*;
     use crate::catalog;
     use sufs_hexpr::semantics::successors;
-    use sufs_hexpr::{parse_hist, Hist};
+    use sufs_hexpr::{parse_hist, Hist, HistLts};
 
     fn reg() -> PolicyRegistry {
         let mut r = PolicyRegistry::new();
@@ -260,9 +336,34 @@ mod tests {
         r
     }
 
+    /// The verdict of `src`, which the explored-graph entry point must
+    /// reproduce, witness included.
     fn check(src: &str) -> Verdict {
         let h = parse_hist(src).unwrap();
-        check_validity(h, |x: &Hist| successors(x), &reg(), 100_000).unwrap()
+        let verdict = check_validity(h.clone(), |x: &Hist| successors(x), &reg(), 100_000).unwrap();
+        let graph = HistLts::build(&h).unwrap();
+        let labels = GraphLabels::of(&graph);
+        let explored = check_explored(&graph, &labels.policies, &reg(), 100_000).unwrap();
+        assert_eq!(explored, verdict, "{src}");
+        verdict
+    }
+
+    #[test]
+    fn graph_labels_collect_policies_and_events_in_one_pass() {
+        let h = parse_hist(
+            "#b; frame at_most_1_tick [ #tick; open 1 phi no_write_after_read { int[a -> #a] } ]",
+        )
+        .unwrap();
+        let labels = GraphLabels::of(&HistLts::build(&h).unwrap());
+        assert_eq!(
+            labels.policies,
+            [
+                PolicyRef::nullary("at_most_1_tick"),
+                PolicyRef::nullary("no_write_after_read")
+            ]
+        );
+        let names: Vec<String> = labels.events.iter().map(|e| e.to_string()).collect();
+        assert_eq!(names, ["#a", "#b", "#tick"]);
     }
 
     #[test]

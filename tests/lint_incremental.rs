@@ -10,7 +10,9 @@
 //! the repository untouched.
 
 use sufs_broker::{Broker, BrokerClient, BrokerConfig, BrokerHandle, Json};
+use sufs_core::plans::DEFAULT_PLAN_CAP;
 use sufs_core::scenario::parse_scenario;
+use sufs_core::verify::DEFAULT_STATE_BOUND;
 use sufs_hexpr::{parse_hist, Hist, Location};
 use sufs_lint::{LintEngine, LintInput, Severity};
 use sufs_net::Repository;
@@ -362,6 +364,226 @@ fn deny_lint_gate_rejects_mutations_that_empty_a_plan_space() {
         .publish("s_extra", "ext[pay -> eps]", None)
         .expect("publish reply");
     assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+
+    client.shutdown().expect("shutdown reply");
+    handle.wait();
+}
+
+/// The vocabulary suite's base: a client whose plans fire events of
+/// their own, a client under a policy, and two policies. Every pool
+/// body below falls into one of the categories the suite must cover.
+const VOCAB_BASE: &str = "
+    client alice { open 1 { int[ping -> eps]; ext[yes -> #won | no -> eps] }; #start }
+    client bob { open 2 phi once { int[pay -> eps] } }
+    service echo { ext[ping -> #tick; #tick; int[no -> eps]] }
+    service till { ext[pay -> #charge] }
+    policy once { start q0; offending bad; q0 -- charge -> q1; q1 -- charge -> bad; }
+    policy ghost { start q0; offending bad; q0 -- phantom_op -> bad; }
+";
+
+/// Locations the vocabulary suite publishes to and retracts from.
+const VOCAB_LOCATIONS: [&str; 4] = ["echo", "till", "guard", "spare"];
+
+/// `(category, body)`: body edits that keep the alphabet and the policy
+/// references, edits that add a fresh event, policy-bearing services,
+/// and a service whose policy reference resolves nowhere (verification
+/// is then skipped scenario-wide, while reachability is still explored).
+const VOCAB_POOL: [(&str, &str); 9] = [
+    ("same-vocabulary", "ext[ping -> #tick; int[no -> eps]]"),
+    (
+        "same-vocabulary",
+        "ext[ping -> #tick; #tick; int[no -> eps]]",
+    ),
+    ("same-vocabulary", "ext[pay -> #charge]"),
+    ("same-vocabulary", "ext[pay -> #charge; #charge]"),
+    ("fresh-event", "ext[ping -> #tock; int[yes -> eps]]"),
+    ("fresh-event", "ext[pay -> #charge; #refund]"),
+    ("policy-bearing", "ext[pay -> frame ghost [ #charge ]]"),
+    (
+        "policy-bearing",
+        "frame once [ ext[ping -> #charge; int[no -> eps]] ]",
+    ),
+    (
+        "unresolved",
+        "ext[ping -> frame nowhere [ #tick ]; int[no -> eps]]",
+    ),
+];
+
+/// A cold full re-lint under explicit bounds, errors included.
+fn cold_with(
+    bound: usize,
+    clients: &[(String, Hist)],
+    repo: &Repository,
+    registry: &PolicyRegistry,
+) -> Result<String, String> {
+    let mut engine = LintEngine::with_bounds(bound, DEFAULT_PLAN_CAP);
+    engine
+        .refresh(LintInput::new(clients, repo, registry))
+        .map(|_| engine.report().to_json(None))
+        .map_err(|e| e.to_string())
+}
+
+/// Seeded publish/retract/revisit sequences over `VOCAB_POOL` against
+/// one long-lived engine with state bound `bound`: after every step the
+/// incremental report (or error) equals a cold re-lint under the same
+/// bound. Returns the cold reports in step order.
+fn vocabulary_suite(bound: usize, seed: u64) -> Vec<Result<String, String>> {
+    let sc = parse_scenario(VOCAB_BASE).expect("vocabulary base parses");
+    let mut repo = sc.repository.clone();
+    let (clients, registry) = (sc.clients.clone(), sc.registry.clone());
+    let mut engine = LintEngine::with_bounds(bound, DEFAULT_PLAN_CAP);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut seen: Vec<Repository> = vec![repo.clone()];
+    let mut covered = std::collections::BTreeSet::new();
+    let mut vocabulary_reused = false;
+    let mut reports = Vec::new();
+    for step in 0..160 {
+        let label = match rng.gen_range(0..6u32) {
+            0..=2 => {
+                let loc = VOCAB_LOCATIONS[rng.gen_range(0..VOCAB_LOCATIONS.len())];
+                let (category, body) = VOCAB_POOL[rng.gen_range(0..VOCAB_POOL.len())];
+                repo.restore(loc, parse_hist(body).unwrap(), None)
+                    .expect("pool services are well-formed");
+                covered.insert(category);
+                format!("{category}: publish {loc} = {body}")
+            }
+            3 => {
+                let loc = VOCAB_LOCATIONS[rng.gen_range(0..VOCAB_LOCATIONS.len())];
+                repo.retract(&Location::new(loc));
+                format!("retract {loc}")
+            }
+            // Revisit a state seen earlier: every lint row is a hit.
+            _ => {
+                let at = rng.gen_range(0..seen.len());
+                repo = seen[at].clone();
+                covered.insert("revisit");
+                format!("revisit state {at}")
+            }
+        };
+        seen.push(repo.clone());
+        let incremental = engine
+            .refresh(LintInput::new(&clients, &repo, &registry))
+            .map(|outcome| {
+                // Only SUFS002 and SUFS003 read nothing but the
+                // vocabulary, the registry and the budgets.
+                vocabulary_reused |= outcome.passes_run > 0 && outcome.passes_reused == 2;
+                engine.report().to_json(None)
+            })
+            .map_err(|e| e.to_string());
+        let cold = cold_with(bound, &clients, &repo, &registry);
+        assert_eq!(
+            incremental, cold,
+            "bound {bound}, step {step} ({label}): incremental and cold reports diverged"
+        );
+        reports.push(cold);
+    }
+    for category in [
+        "same-vocabulary",
+        "fresh-event",
+        "policy-bearing",
+        "unresolved",
+        "revisit",
+    ] {
+        assert!(covered.contains(category), "the suite never hit {category}");
+    }
+    assert!(
+        vocabulary_reused,
+        "no service edit ever reused the vocabulary passes"
+    );
+    reports
+}
+
+/// The vocabulary suite at the default bound, and at a bound so small
+/// that some candidates' composed executions no longer fit: those must
+/// count as unexplored exactly as a cold re-lint under that bound has
+/// them, although the verdict rows explored them under the default.
+#[test]
+fn incremental_engine_matches_cold_relint_over_vocabulary_edits() {
+    let generous = vocabulary_suite(DEFAULT_STATE_BOUND, 0x11C0_0903);
+    let tight = vocabulary_suite(TIGHT_BOUND, 0x11C0_0903);
+    // The same seed replays the same states, and the tight bound
+    // changes some findings: the bound path is exercised.
+    assert!(
+        generous.iter().zip(&tight).any(|(g, t)| g != t),
+        "bound {TIGHT_BOUND} never changed a finding"
+    );
+}
+
+/// Below the default state bound, and below the composed state spaces
+/// of the vocabulary suite's larger plans, but above every component's
+/// own LTS.
+const TIGHT_BOUND: usize = 7;
+
+/// Standing findings below the deny level — dead services, unused
+/// policies, a single point of failure — that a gated write must look
+/// past.
+const CROWDED: &str = "
+    client c1 { open 1 { int[pay -> eps] } }
+    client c2 { open 2 { int[ping -> eps] } }
+    service s_main { ext[pay -> eps] }
+    service echo_a { ext[ping -> eps] }
+    service echo_b { ext[ping -> eps] }
+    service dead_1 { ext[zzz -> eps] }
+    service dead_2 { ext[yyy -> eps] }
+    service dead_3 { ext[xxx -> eps] }
+    policy ghost { start q0; offending bad; q0 -- phantom_op -> bad; }
+    policy phantom { start q0; offending bad; q0 -- nothing -> bad; }
+";
+
+/// A gated write that introduces one error among many standing findings
+/// is rejected with exactly that diagnostic, byte-identical to a cold
+/// lint of the mutated state, and leaves state and report as they were.
+#[test]
+fn deny_lint_gate_names_exactly_the_introduced_error() {
+    let config = BrokerConfig {
+        deny_lint: Some(Severity::Error),
+        ..Default::default()
+    };
+    let (handle, mut client) = spawn(config);
+    let reply = client.publish_scenario(CROWDED).expect("scenario reply");
+    assert_eq!(reply.bool_field("ok"), Some(true), "{reply}");
+    let before_repo = client.repo().expect("repo reply").to_string();
+    let before = client.lint().expect("lint reply");
+    let standing = remote_diagnostics(&before);
+    assert_eq!(before.u64_field("errors"), Some(0), "{before}");
+    assert!(
+        before
+            .get("diagnostics")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .len()
+            >= 6,
+        "{before}"
+    );
+
+    // Retracting c1's only provider empties its plan space.
+    let reply = client.retract("s_main").expect("retract reply");
+    assert_eq!(reply.str_field("kind"), Some("lint_rejected"), "{reply}");
+    let introduced = reply
+        .get("diagnostics")
+        .and_then(Json::as_arr)
+        .expect("rejection carries diagnostics");
+    assert_eq!(introduced.len(), 1, "{reply}");
+    let mut sc = parse_scenario(CROWDED).expect("crowded scenario parses");
+    sc.clients.sort_by(|(a, _), (b, _)| a.cmp(b));
+    sc.repository.retract(&Location::new("s_main"));
+    let mut cold = LintEngine::new();
+    cold.refresh(LintInput::new(&sc.clients, &sc.repository, &sc.registry))
+        .expect("cold lint succeeds");
+    let errors: Vec<String> = cold
+        .report()
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity() == Severity::Error)
+        .map(|d| d.to_json())
+        .collect();
+    assert_eq!(errors, [introduced[0].to_string()]);
+    assert_eq!(introduced[0].str_field("code"), Some("SUFS007"));
+
+    // Nothing of the write survives: listing and report are unchanged.
+    assert_eq!(client.repo().expect("repo reply").to_string(), before_repo);
+    let after = client.lint().expect("lint reply");
+    assert_eq!(remote_diagnostics(&after), standing);
 
     client.shutdown().expect("shutdown reply");
     handle.wait();
