@@ -16,6 +16,13 @@
 //! enumerative reference over the same repository — the daemon must
 //! answer exactly what the library answers.
 //!
+//! Each workload also records a **re-derivation row**: the latency of a
+//! `max_valid: 1` plan issued right after a compliant, body-only publish
+//! of a location the first valid plan binds (its service behind one more
+//! unpoliced event, then back), so every timed read re-derives the
+//! resident product after a one-location write
+//! (`compositional.rederive_p50_us`/`rederive_p95_us`).
+//!
 //! In the full configuration the harness also asserts the headline
 //! claim: compositional throughput on the 1296-candidate workload
 //! stays within 2× of the 36-candidate workload's, i.e. the
@@ -39,6 +46,7 @@ use std::time::Instant;
 use sufs_bench::{gen_workload_from_env, mixed_responder_repo, multi_request_client, GenWorkload};
 use sufs_broker::{Broker, BrokerClient, BrokerConfig, Json};
 use sufs_core::{synthesize, SynthesisOptions};
+use sufs_hexpr::builder::{ev0, seq};
 use sufs_policy::PolicyRegistry;
 
 /// What the broker serves: a client history over a repository, from
@@ -112,9 +120,50 @@ fn percentile(sorted: &[u128], p: f64) -> u128 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
+/// Times `rounds` plan reads, each issued right after a body-only
+/// publish at `loc` that alternates `service` with `#tick; service`, so
+/// the valid set never changes and every read re-derives the product.
+/// Even rounds leave `service` published. Returns the sorted latencies.
+fn rederive_latencies(
+    conn: &mut BrokerClient,
+    client_text: &str,
+    (loc, service, capacity): (&str, &sufs_hexpr::Hist, Option<usize>),
+    valid_total: usize,
+    rounds: usize,
+) -> Vec<u128> {
+    let variant = seq([ev0("tick"), service.clone()]).to_string();
+    let original = service.to_string();
+    let mut latencies = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let text = if round % 2 == 0 { &variant } else { &original };
+        let reply = conn
+            .publish(loc, text, capacity.map(|n| n as u64))
+            .expect("body-only publish");
+        assert_eq!(reply.bool_field("ok"), Some(true), "publish rejected");
+        let t = Instant::now();
+        let reply = conn
+            .plan_with(client_text, Json::obj().with("max_valid", 1u64))
+            .expect("plan after publish");
+        latencies.push(t.elapsed().as_micros());
+        assert_eq!(reply.bool_field("ok"), Some(true), "plan rejected");
+        assert_eq!(
+            reply.u64_field("valid_total"),
+            Some(valid_total as u64),
+            "a body-only publish changed the valid set"
+        );
+    }
+    latencies.sort_unstable();
+    latencies
+}
+
 /// Drives one workload against a fresh broker. Returns the stats
 /// object and the measured throughput.
-fn run_broker(w: &Workload, expected: &[String], client_text: &str) -> (Json, f64) {
+fn run_broker(
+    w: &Workload,
+    expected: &[String],
+    client_text: &str,
+    bound: &sufs_hexpr::Location,
+) -> (Json, f64) {
     let handle = Broker::spawn(BrokerConfig {
         max_clients: w.clients + 8,
         ..BrokerConfig::default()
@@ -242,6 +291,17 @@ fn run_broker(w: &Workload, expected: &[String], client_text: &str) -> (Json, f6
         .get("products")
         .and_then(|p| p.u64_field("reads"))
         .unwrap_or(0);
+    // After the counters above are read, so they describe the warm
+    // reads alone.
+    let service = w.topo.repo.get(bound).expect("bound location is published");
+    let capacity = w.topo.repo.capacity(bound).flatten();
+    let rederive = rederive_latencies(
+        &mut admin,
+        client_text,
+        (bound.as_str(), service, capacity),
+        expected.len(),
+        2 * w.iters.max(3),
+    );
     drop(admin);
     drop(handle); // drains the daemon
 
@@ -249,11 +309,14 @@ fn run_broker(w: &Workload, expected: &[String], client_text: &str) -> (Json, f6
     let total = latencies.len();
     let throughput = total as f64 / wall;
     eprintln!(
-        "  {total} requests in {:.1}ms ({throughput:.1} rps), p50 {}µs p95 {}µs p99 {}µs",
+        "  {total} requests in {:.1}ms ({throughput:.1} rps), p50 {}µs p95 {}µs p99 {}µs; \
+         after a body-only publish at {bound}: p50 {}µs p95 {}µs",
         wall * 1e3,
         percentile(&latencies, 50.0),
         percentile(&latencies, 95.0),
         percentile(&latencies, 99.0),
+        percentile(&rederive, 50.0),
+        percentile(&rederive, 95.0),
     );
 
     let mut out = Json::obj()
@@ -269,6 +332,9 @@ fn run_broker(w: &Workload, expected: &[String], client_text: &str) -> (Json, f6
         out.set("cache_hit_rate", rate);
     }
     out.set("product_reads", product_reads);
+    out.set("rederive_samples", rederive.len());
+    out.set("rederive_p50_us", percentile(&rederive, 50.0) as u64);
+    out.set("rederive_p95_us", percentile(&rederive, 95.0) as u64);
     (out, throughput)
 }
 
@@ -288,8 +354,16 @@ fn run_workload(w: &Workload) -> (Json, f64) {
     expected.sort();
     assert!(!expected.is_empty(), "workload admits no valid plan");
 
+    // The location the re-derivation row rewrites: one the first valid
+    // plan binds.
+    let bound = baseline
+        .report
+        .valid_plans()
+        .next()
+        .and_then(|plan| plan.iter().next().map(|(_, loc)| loc.clone()))
+        .expect("a valid plan binds a location");
     let client_text = w.topo.client.to_string();
-    let (compositional, comp_rps) = run_broker(w, &expected, &client_text);
+    let (compositional, comp_rps) = run_broker(w, &expected, &client_text, &bound);
 
     let candidates = w.topo.services.pow(w.topo.requests as u32);
     let mut row = Json::obj()
@@ -349,7 +423,7 @@ fn main() {
     out.push_str("{\n");
     write!(
         out,
-        "  \"bench\": \"broker\",\n  \"schema_version\": 3,\n  \"smoke\": {smoke},\n"
+        "  \"bench\": \"broker\",\n  \"schema_version\": 4,\n  \"smoke\": {smoke},\n"
     )
     .unwrap();
     out.push_str("  \"workloads\": [\n");

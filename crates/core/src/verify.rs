@@ -52,8 +52,7 @@
 //! set is identical, while compliance-rejected plans may be cut before
 //! they reach the report.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,7 +62,7 @@ use crate::plans::{composed_requests, surviving_plans, PlanSpaceExceeded, DEFAUL
 use crate::product::ProductInfo;
 use crate::report::VerifyReport;
 use sufs_contract::{compliant, Contract, ContractError, StuckWitness};
-use sufs_hexpr::requests::requests;
+use sufs_hexpr::requests::{requests, RequestInfo};
 use sufs_hexpr::wf::{self, WfError};
 use sufs_hexpr::{Event, Hist, Location, RequestId};
 use sufs_net::symbolic::{self, StuckState};
@@ -467,18 +466,29 @@ pub(crate) fn prune_safe_bodies(
     client: &Hist,
     repo: &Repository,
 ) -> Option<HashMap<RequestId, Hist>> {
-    let mut map: HashMap<RequestId, Hist> = HashMap::new();
-    let all = requests(client).into_iter().chain(
-        repo.iter()
-            .flat_map(|(_, service)| requests(service).into_iter()),
-    );
-    for info in all {
-        match map.entry(info.id) {
-            Entry::Vacant(e) => {
-                e.insert(info.body);
+    let all: Vec<RequestInfo> = requests(client)
+        .into_iter()
+        .chain(repo.iter().flat_map(|(_, service)| requests(service)))
+        .collect();
+    let bodies = unique_bodies(all.iter().map(|info| (info.id, &info.body)))?;
+    Some(bodies.into_iter().map(|(r, b)| (r, b.clone())).collect())
+}
+
+/// The one body each request identifier carries among `requests`, or
+/// `None` when some identifier occurs with two structurally distinct
+/// bodies: the check behind [`prune_safe_bodies`], over requests the
+/// caller has already collected.
+pub(crate) fn unique_bodies<'a>(
+    requests: impl IntoIterator<Item = (RequestId, &'a Hist)>,
+) -> Option<BTreeMap<RequestId, &'a Hist>> {
+    let mut map: BTreeMap<RequestId, &'a Hist> = BTreeMap::new();
+    for (id, body) in requests {
+        match map.entry(id) {
+            btree_map::Entry::Vacant(e) => {
+                e.insert(body);
             }
-            Entry::Occupied(e) => {
-                if e.get() != &info.body {
+            btree_map::Entry::Occupied(e) => {
+                if *e.get() != body {
                     return None;
                 }
             }

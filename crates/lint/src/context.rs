@@ -636,7 +636,7 @@ mod tests {
         .unwrap();
         let mut caches = AnalysisCaches::default();
         let state = StateView::of(&sc.repository, &sc.registry);
-        let mut build = |caches: &mut AnalysisCaches| {
+        let build = |caches: &mut AnalysisCaches| {
             let ctx = LintContext::build_cached(
                 LintInput::from(&sc),
                 &state,

@@ -13,15 +13,18 @@
 //! * the compositional **report** (surviving candidates + verdicts, in
 //!   order) equals the pruned reference's report — both cut exactly
 //!   the branches a compliance witness condemns;
-//! * under a long seeded stream of `publish`/`retract` mutations, each
-//!   reverted and re-applied, the **resident** product re-derived
-//!   through a shared verdict cache stays byte-identical to a cold
-//!   rebuild at every step, and a revisited state computes no verdict.
+//! * under a long seeded stream of mutations (publish, retract,
+//!   capacity-only republish, nested requests appearing and
+//!   disappearing, ambiguous bodies, policy register/remove, a lowered
+//!   plan cap), each reverted and re-applied, the **resident** product
+//!   re-derived through a shared verdict cache equals a cold rebuild at
+//!   every step — report, counts and errors — and a revisited state
+//!   computes no verdict.
 
 use sufs_core::product::synthesize_one_shot;
 use sufs_core::scenario::parse_scenario;
 use sufs_core::{
-    synthesize, verify, Engine, ProductStore, Synthesis, SynthesisOptions, VerifyCache,
+    synthesize, verify, Engine, ProductStore, Synthesis, SynthesisOptions, VerifyCache, VerifyError,
 };
 use sufs_hexpr::builder::*;
 use sufs_hexpr::{Hist, Location, ParamValue, PolicyRef};
@@ -211,9 +214,18 @@ fn compositional_matches_enumerative_on_shipped_scenarios() {
 }
 
 /// The candidate services the mutation stream draws from: compliant
-/// responders, a short-changing one, a policy violator and an
-/// off-channel decoy.
+/// responders, a short-changing one, a policy violator, an off-channel
+/// decoy, brokers whose answers open nested requests (two of them share
+/// the id `r100` with different bodies, which switches compliance
+/// pruning off while both are published), and a leaf for those nested
+/// requests.
 fn mutation_pool() -> Vec<Hist> {
+    let broker = |id: u32, nested: Hist| {
+        recv(
+            "q",
+            Hist::seq(request(id, None, nested), choose([("ok", eps())])),
+        )
+    };
     vec![
         recv("q", choose([("ok", eps()), ("no", eps())])),
         recv("q", choose([("ok", eps())])),
@@ -223,9 +235,34 @@ fn mutation_pool() -> Vec<Hist> {
         ),
         recv("q", choose([("ok", eps()), ("later", eps())])),
         recv("zz", eps()),
+        broker(100, send("w", eps())),
+        broker(100, seq([send("w", eps()), offer([("a", eps())])])),
+        broker(101, send("w", eps())),
+        recv("w", choose([("a", eps())])),
     ]
 }
 
+/// What a read reports besides its verdicts: candidates, pruned
+/// subtrees, whether pruning was active, admissible and total edges.
+fn shape(s: &Synthesis) -> (usize, usize, bool, usize, usize) {
+    let info = s.stats.product.expect("compositional stats");
+    (
+        s.stats.candidates,
+        s.stats.pruned_subtrees,
+        s.stats.prune_active,
+        info.admissible_edges,
+        info.total_edges,
+    )
+}
+
+/// A seeded stream of mutations — services published, replaced and
+/// retracted, nested requests appearing and disappearing, capacity-only
+/// republishes, an unreferenced policy registered and removed, and
+/// bodies that switch pruning off and on — each reverted and re-applied,
+/// with the plan cap sometimes lowered for the first read after a step.
+/// After every step the resident product, re-derived through a shared
+/// cache, must equal a cold build: the report, the candidate and cut
+/// counts, whether pruning is active, the edge counts, and any error.
 #[test]
 fn incrementally_patched_product_is_byte_identical_to_cold_rebuild() {
     let mut registry = PolicyRegistry::new();
@@ -248,67 +285,127 @@ fn incrementally_patched_product_is_byte_identical_to_cold_rebuild() {
     let store = ProductStore::new();
     let cache = VerifyCache::new();
     let opts = compositional();
+    let mut issued = 0usize;
     // The long-lived store re-derives through the shared cache; the
-    // one-shot store rebuilds cold. Byte-identical reports, every read.
-    let read = |repo: &Repository, label: &str| -> Synthesis {
-        let warm = store
-            .synthesize(&client, repo, &registry, &opts, Some(&cache))
-            .unwrap();
-        let cold = synthesize_one_shot(&client, repo, &registry, &opts, None).unwrap();
-        assert_eq!(
-            warm.report.verdicts(),
-            cold.report.verdicts(),
-            "{label}: the resident product diverged from a cold rebuild"
-        );
+    // one-shot store rebuilds cold. Equal answers, every read.
+    let mut read = |repo: &Repository,
+                    registry: &PolicyRegistry,
+                    opts: &SynthesisOptions,
+                    label: &str|
+     -> Result<Synthesis, VerifyError> {
+        issued += 1;
+        let warm = store.synthesize(&client, repo, registry, opts, Some(&cache));
+        let cold = synthesize_one_shot(&client, repo, registry, opts, None);
+        match (&warm, &cold) {
+            (Ok(w), Ok(c)) => {
+                assert_eq!(
+                    w.report.verdicts(),
+                    c.report.verdicts(),
+                    "{label}: the resident product diverged from a cold rebuild"
+                );
+                assert_eq!(shape(w), shape(c), "{label}: the product's shape diverged");
+            }
+            (Err(w), Err(c)) => assert_eq!(w, c, "{label}: different errors"),
+            _ => panic!(
+                "{label}: warm ok = {}, cold ok = {}",
+                warm.is_ok(),
+                cold.is_ok()
+            ),
+        }
         warm
     };
-    read(&repo, "initial state");
+    read(&repo, &registry, &opts, "initial state").unwrap();
+    let extra = catalog::at_most("access", 1);
     let mut r = StdRng::seed_from_u64(2026);
-    let mut mutations = 0usize;
-    while mutations < 200 {
-        // One publish or retract per step; keep at least one service
-        // published so the plan space never trivialises for long.
-        let before = repo.clone();
+    let (mut dropped, mut refused_in_place, mut unpruned) = (0usize, 0usize, 0usize);
+    let steps = 200usize;
+    for step in 1..=steps {
+        let before = (repo.clone(), registry.clone());
         let slot = &slots[r.gen_range(0..slots.len())];
-        if repo.get(slot).is_some() && repo.len() > 1 && r.gen_bool(0.4) {
+        let roll = r.gen_range(0..100u32);
+        if roll < 10 {
+            // Register or remove a policy no request refers to.
+            if registry.remove(extra.name()).is_none() {
+                registry.register(extra.clone());
+            }
+        } else if roll < 25 && repo.get(slot).is_some() {
+            // Republish the same behaviour under another capacity.
+            let service = repo.get(slot).unwrap().clone();
+            match repo.capacity(slot).flatten() {
+                Some(_) if r.gen_bool(0.5) => repo.publish(slot.clone(), service),
+                _ => repo.publish_bounded(slot.clone(), service, r.gen_range(1..=3usize)),
+            };
+        } else if roll < 50 && repo.get(slot).is_some() && repo.len() > 1 {
             repo.retract(slot);
         } else {
             let service = pool[r.gen_range(0..pool.len())].clone();
             repo.publish(slot.clone(), service);
         }
-        mutations += 1;
-        let after = repo.clone();
+        let after = (repo.clone(), registry.clone());
 
+        // Sometimes the first read after the step runs under a lower
+        // cap; a warm store must then refuse exactly as a cold one does.
+        if r.gen_bool(0.2) {
+            let capped = SynthesisOptions {
+                plan_cap: r.gen_range(1..=6usize),
+                ..compositional()
+            };
+            let label = format!("step {step} capped at {}", capped.plan_cap);
+            if let Err(e) = read(&after.0, &after.1, &capped, &label) {
+                assert!(matches!(e, VerifyError::PlanSpace(_)), "{label}: {e}");
+                // A refused re-derivation leaves no entry behind; a
+                // current product refuses at read time and stays.
+                if store.stats().entries == 0 {
+                    dropped += 1;
+                } else {
+                    refused_in_place += 1;
+                }
+            }
+        }
+        let label = format!("step {step}");
+        let warm = read(&after.0, &after.1, &opts, &label).unwrap();
+        unpruned += usize::from(!warm.stats.prune_active);
         // And both agree with the enumerative oracle's valid set.
-        let warm = read(&after, &format!("step {mutations}"));
-        let oracle = verify(&client, &after, &registry).unwrap();
+        let oracle = verify(&client, &after.0, &after.1).unwrap();
         assert_eq!(
             warm.report.valid_plans().collect::<Vec<_>>(),
             oracle.valid_plans().collect::<Vec<_>>(),
-            "step {mutations}: engines disagree after a mutation"
+            "{label}: engines disagree after a mutation"
         );
         // Revert, then re-apply: both states were read before, so
         // every verdict row they need is already in the cache.
-        for (state, what) in [(&before, "reverted"), (&after, "re-applied")] {
-            let revisit = read(state, &format!("step {mutations} {what}"));
+        for ((repo, registry), what) in [(&before, "reverted"), (&after, "re-applied")] {
+            let revisit = read(repo, registry, &opts, &format!("{label} {what}")).unwrap();
             let computed = revisit.stats.cache.unwrap().verdict.1;
-            assert_eq!(computed, 0, "step {mutations} {what}: verdicts recomputed");
+            assert_eq!(computed, 0, "{label} {what}: verdicts recomputed");
         }
     }
-    // One build at first sight of the client; every later read is a
-    // re-derivation or, when a mutation left every fingerprint intact
-    // (re-publishing an identical body), a read-off. Never a rebuild.
+    // One build at first sight of the client, and one after each
+    // refused re-derivation dropped the entry; every other read is a
+    // re-derivation or, when a step left every fingerprint intact, a
+    // read-off. A dropped entry counts no read.
     let stats = store.stats();
-    assert_eq!(stats.builds, 1, "reads must not rebuild: {stats:?}");
+    assert_eq!(
+        stats.builds,
+        1 + dropped as u64,
+        "unexpected rebuilds: {stats:?}"
+    );
     assert_eq!(
         stats.builds + stats.patches + stats.reads,
-        1 + 3 * 200,
-        "every read should resolve as a re-derivation or a read-off: {stats:?}"
+        (issued - dropped) as u64,
+        "every read should resolve as a build, a re-derivation or a read-off: {stats:?}"
     );
     assert!(
         stats.patches >= 300,
         "the stream should mostly force real re-derivations: {stats:?}"
     );
+    // The stream reached both ways a lowered cap refuses, and states
+    // where pruning is off.
+    assert!(
+        dropped > 0 && refused_in_place > 0,
+        "{dropped} / {refused_in_place}"
+    );
+    assert!(unpruned > 0, "no step published both r100 bodies");
 }
 
 /// A product wider than the shared cache's bound still re-derives
