@@ -16,11 +16,11 @@
 //! Transition systems given by a successor function — the LTS of a
 //! history expression, the contract product of Definition 5 and the
 //! symbolic state space of a plan — are not built here but by the one
-//! bounded explorer `sufs_hexpr::lts::Lts::explore`, which every crate
-//! that builds them already depends on. Only searches that stop early
-//! (`check_validity`, `find_stuck`, `find_joint_deadlock`,
-//! `compliant_coinductive`) keep loops of their own; the explorer's
-//! module docs say why.
+//! bounded explorer `sufs_hexpr::lts::Lts::search`, which every crate
+//! that builds them already depends on. Searches that stop at their
+//! first find (the security product walk, the joint-deadlock search)
+//! break out of the same loop; only the independent oracles
+//! `find_stuck` and `compliant_coinductive` keep loops of their own.
 //!
 //! # Example
 //!

@@ -9,13 +9,16 @@
 //! proceed (a classic circular wait that no single-client analysis can
 //! see). [`verify_network`] therefore explores the *joint* symbolic
 //! state space — the product of the components' session trees under the
-//! shared load — and reports reachable global deadlocks.
+//! shared load — and reports reachable global deadlocks. The search runs
+//! on the workspace's one explorer (`Lts::search`), which stores each
+//! joint state once and stops at the first deadlocked one.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 use crate::verify::{verify_plan, PlanVerdict, VerifyError};
-use sufs_hexpr::{Hist, Label, Location};
+use sufs_hexpr::{Hist, Label, Location, Lts};
 use sufs_net::semantics::active_services;
 use sufs_net::symbolic::{symbolic_successors_with_load, SymState};
 use sufs_net::{Plan, Repository};
@@ -123,9 +126,15 @@ pub fn verify_network(
 /// because the live components eventually finish and expose the stuck
 /// one.
 ///
+/// The joint states are searched breadth first and the search stops at
+/// the first deadlocked one, so the schedule is a shortest one and a
+/// deadlock met before the bound is reported even when more than
+/// `bound` joint states are reachable.
+///
 /// # Errors
 ///
-/// Returns [`VerifyError::BoundExceeded`] past `bound` joint states.
+/// Returns [`VerifyError::BoundExceeded`] if the search reaches more
+/// than `bound` joint states before it meets a deadlock.
 pub fn find_joint_deadlock(
     clients: &[ClientSpec],
     repo: &Repository,
@@ -135,59 +144,33 @@ pub fn find_joint_deadlock(
         .iter()
         .map(|s| SymState::initial(s.name.clone(), s.client.clone()))
         .collect();
-    let mut states: Vec<Vec<SymState>> = vec![initial.clone()];
-    let mut index: HashMap<Vec<SymState>, usize> = HashMap::from([(initial, 0)]);
-    let mut parents: Vec<Option<(usize, usize, Label)>> = vec![None];
-    let mut queue = VecDeque::from([0usize]);
-    while let Some(id) = queue.pop_front() {
-        let joint = states[id].clone();
+    let (graph, deadlock) = Lts::search(initial, bound, |joint: &Vec<SymState>, out| {
         // Shared load across every component.
         let mut load: BTreeMap<Location, usize> = BTreeMap::new();
-        for comp in &joint {
+        for comp in joint {
             for (loc, n) in active_services(&comp.sess, repo) {
                 *load.entry(loc).or_insert(0) += n;
             }
         }
-        let mut any = false;
         for (i, comp) in joint.iter().enumerate() {
             for (label, next) in symbolic_successors_with_load(comp, &clients[i].plan, repo, &load)
             {
-                any = true;
                 let mut njoint = joint.clone();
                 njoint[i] = next;
-                if !index.contains_key(&njoint) {
-                    let nid = states.len();
-                    if nid >= bound {
-                        return Err(VerifyError::BoundExceeded(bound));
-                    }
-                    index.insert(njoint.clone(), nid);
-                    states.push(njoint);
-                    parents.push(Some((id, i, label.clone())));
-                    queue.push_back(nid);
-                }
+                out.push(((i, label), njoint));
             }
         }
-        if !any && !joint.iter().all(SymState::is_terminated) {
-            let mut path = Vec::new();
-            let mut cur = id;
-            while let Some((p, c, l)) = &parents[cur] {
-                path.push((*c, l.clone()));
-                cur = *p;
-            }
-            path.reverse();
-            let stuck_components = joint
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_terminated())
-                .map(|(i, _)| i)
-                .collect();
-            return Ok(Some(JointDeadlock {
-                path,
-                stuck_components,
-            }));
+        if !out.is_empty() || joint.iter().all(SymState::is_terminated) {
+            return ControlFlow::Continue(());
         }
-    }
-    Ok(None)
+        let stuck = joint.iter().enumerate().filter(|(_, s)| !s.is_terminated());
+        ControlFlow::Break(stuck.map(|(i, _)| i).collect())
+    })
+    .map_err(|e| VerifyError::BoundExceeded(e.bound))?;
+    Ok(deadlock.map(|(at, stuck_components)| JointDeadlock {
+        path: graph.path_to(at),
+        stuck_components,
+    }))
 }
 
 #[cfg(test)]

@@ -18,11 +18,13 @@
 //! over its labels collects the policies to instantiate and the events
 //! the plan's runs fire ([`PlanReach`], which lint reads instead of
 //! exploring again). Security is [`check_explored`] over the graph's
-//! borrowed edges, and progress is the graph's first stuck state with
-//! its breadth-first path. Both read the same witnesses the two literal
-//! walks ([`sufs_policy::check_validity`] over [`sufs_net::SymState`]s,
-//! and [`sufs_net::find_stuck`]) would find; those walks survive as the
-//! differential oracle of `tests/verdict_equiv.rs`.
+//! borrowed edges, a product search on the same explorer that stops at
+//! the first offending edge, and progress is the graph's first stuck
+//! state with its breadth-first path. Both read the same witnesses as
+//! two literal walks over [`sufs_net::SymState`]s: the two-phase
+//! validity walk kept in `tests/verdict_equiv.rs` and the progress
+//! oracle [`sufs_net::find_stuck`], which together are that suite's
+//! differential oracle.
 //!
 //! A plan passing all three is *valid*: "switch off any run-time
 //! monitor, and live happily: nothing bad will happen" (§5).

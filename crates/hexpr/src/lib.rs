@@ -18,8 +18,9 @@
 //! * the abstract syntax ([`Hist`]) with smart constructors and the
 //!   structural equivalence `ε·H ≡ H ≡ H·ε` baked into a canonical form,
 //! * the stand-alone operational semantics ([`semantics::successors`]),
-//! * the one bounded breadth-first explorer ([`lts::Lts::explore`]) that
-//!   builds every reachability graph of the workspace, and the finite
+//! * the one bounded breadth-first explorer ([`lts::Lts::search`]) that
+//!   builds every reachability graph of the workspace and runs every
+//!   search that stops at its first find, and the finite
 //!   LTS of an expression built by it ([`lts::HistLts`]); finiteness is
 //!   guaranteed by the well-formedness discipline of [`wf`] (guarded
 //!   tail recursion),

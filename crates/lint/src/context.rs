@@ -90,6 +90,13 @@ impl<'a> From<&'a Scenario> for LintInput<'a> {
     }
 }
 
+/// The content hash of each client's behaviour, in input order: the
+/// key of every per-client cache entry, and the engine's client
+/// fingerprints.
+pub(crate) fn client_hashes(clients: &[(String, Hist)]) -> Vec<u64> {
+    clients.iter().map(|(_, h)| stable_hash_of(h)).collect()
+}
+
 /// Memoized sub-analyses shared across context builds. Every map is
 /// content-addressed — keyed by structural fingerprints of everything
 /// its entries read — and so is the [`VerifyCache`], so nothing ever
@@ -432,15 +439,25 @@ impl<'a> LintContext<'a> {
     ) -> Result<LintContext<'a>, LintError> {
         let mut caches = AnalysisCaches::default();
         let state = StateView::of(&scenario.repository, &scenario.registry);
-        Self::build_cached(scenario.into(), &state, bound, plan_cap, &mut caches)
+        let hashes = client_hashes(&scenario.clients);
+        Self::build_cached(
+            scenario.into(),
+            &hashes,
+            &state,
+            bound,
+            plan_cap,
+            &mut caches,
+        )
     }
 
     /// Precomputes the context over any [`LintInput`], memoizing the
-    /// expensive sub-analyses in `caches` for the next build. `state` is
-    /// the [`StateView`] of the input's own repository and registry,
-    /// which the engine has already computed for its diff.
+    /// expensive sub-analyses in `caches` for the next build.
+    /// `client_hashes` ([`client_hashes`] of the input's clients) and
+    /// `state` (the [`StateView`] of its repository and registry) are
+    /// what the engine has already computed for its diff.
     pub(crate) fn build_cached(
         input: LintInput<'a>,
+        client_hashes: &[u64],
         state: &StateView<'_>,
         bound: usize,
         plan_cap: usize,
@@ -494,8 +511,7 @@ impl<'a> LintContext<'a> {
         }
 
         let mut clients = Vec::new();
-        for (name, h) in input.clients {
-            let client_hash = stable_hash_of(h);
+        for ((name, h), &client_hash) in input.clients.iter().zip(client_hashes) {
             alphabet_union.extend(caches.events_of(client_hash, h).iter().cloned());
             let lts = caches.lts_for(|| format!("client {name}"), h, client_hash, bound)?;
             let space = caches
@@ -639,6 +655,7 @@ mod tests {
         let build = |caches: &mut AnalysisCaches| {
             let ctx = LintContext::build_cached(
                 LintInput::from(&sc),
+                &client_hashes(&sc.clients),
                 &state,
                 DEFAULT_STATE_BOUND,
                 DEFAULT_PLAN_CAP,
@@ -713,6 +730,7 @@ mod tests {
         let state = StateView::of(&sc.repository, &sc.registry);
         let ctx = LintContext::build_cached(
             LintInput::from(&sc),
+            &client_hashes(&sc.clients),
             &state,
             DEFAULT_STATE_BOUND,
             DEFAULT_PLAN_CAP,
@@ -746,6 +764,7 @@ mod tests {
         let mut build = || {
             LintContext::build_cached(
                 input,
+                &client_hashes(&sc.clients),
                 &state,
                 DEFAULT_STATE_BOUND,
                 DEFAULT_PLAN_CAP,

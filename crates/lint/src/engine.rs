@@ -31,7 +31,7 @@ use sufs_core::plans::DEFAULT_PLAN_CAP;
 use sufs_core::verify::DEFAULT_STATE_BOUND;
 use sufs_hexpr::shash::stable_hash_of;
 
-use crate::context::{AnalysisCaches, LintContext, LintInput};
+use crate::context::{client_hashes, AnalysisCaches, LintContext, LintInput};
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::passes::{self, Dep};
 use crate::{sort_diagnostics, LintError};
@@ -46,13 +46,11 @@ struct Fingerprints {
 }
 
 impl Fingerprints {
-    fn of(input: &LintInput<'_>, state: &StateView<'_>) -> Fingerprints {
+    /// `client_hashes` are [`client_hashes`] of the input's clients.
+    fn of(input: &LintInput<'_>, client_hashes: &[u64], state: &StateView<'_>) -> Fingerprints {
+        let names = input.clients.iter().map(|(name, _)| name.clone());
         Fingerprints {
-            clients: input
-                .clients
-                .iter()
-                .map(|(name, hist)| (name.clone(), stable_hash_of(hist)))
-                .collect(),
+            clients: names.zip(client_hashes.iter().copied()).collect(),
             state: state.fingerprints().clone(),
             budgets: stable_hash_of(&format!("{:?}", input.budgets)),
         }
@@ -162,7 +160,8 @@ impl LintEngine {
     /// error and the next refresh starts from the same diff.
     pub fn refresh(&mut self, input: LintInput<'_>) -> Result<RefreshOutcome, LintError> {
         let state = StateView::of(input.repository, input.registry);
-        let fp = Fingerprints::of(&input, &state);
+        let hashes = client_hashes(input.clients);
+        let fp = Fingerprints::of(&input, &hashes, &state);
         let mut changed = match &self.state {
             None => BTreeSet::from([
                 Dep::Clients,
@@ -183,8 +182,14 @@ impl LintEngine {
 
         self.caches.trim(CACHE_LIMIT);
 
-        let ctx =
-            LintContext::build_cached(input, &state, self.bound, self.plan_cap, &mut self.caches)?;
+        let ctx = LintContext::build_cached(
+            input,
+            &hashes,
+            &state,
+            self.bound,
+            self.plan_cap,
+            &mut self.caches,
+        )?;
         // The vocabulary is derived from clients and services, so it is
         // fingerprinted off the built context: most service edits leave
         // it, and the passes reading only it, untouched.

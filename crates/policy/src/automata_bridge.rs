@@ -15,7 +15,7 @@
 
 use crate::instance::PolicyInstance;
 use sufs_automata::{Dfa, Nfa};
-use sufs_hexpr::Event;
+use sufs_hexpr::{Event, Lts};
 
 /// Exports the forbidden-trace language of a policy instance as an NFA
 /// over the given ground alphabet.
@@ -24,44 +24,36 @@ use sufs_hexpr::Event;
 /// is offending (matching [`PolicyInstance::forbids`]'s prefix check, a
 /// state that offends gains self-loops on the whole alphabet).
 pub fn to_nfa(instance: &PolicyInstance, alphabet: &[Event]) -> Nfa<Event> {
-    let mut nfa = Nfa::new();
     // Subset-construct over the instance's own state sets, which keeps
-    // the default self-loop semantics exact.
-    use std::collections::{BTreeSet, HashMap, VecDeque};
-    let mut index: HashMap<BTreeSet<usize>, usize> = HashMap::new();
-    let start = instance.initial();
-    let q0 = nfa.add_state();
-    nfa.set_start(q0);
-    if instance.offends(&start) {
-        nfa.set_final(q0);
+    // the default self-loop semantics exact. Offending is absorbing for
+    // `forbids`: an offending set loops on the whole alphabet.
+    let sets = Lts::explore(instance.initial(), usize::MAX, |set| {
+        let absorbing = instance.offends(set);
+        alphabet
+            .iter()
+            .map(|e| {
+                (
+                    e,
+                    if absorbing {
+                        set.clone()
+                    } else {
+                        instance.step(set, e)
+                    },
+                )
+            })
+            .collect()
+    })
+    .expect("a finite automaton has finitely many state sets");
+    let mut nfa = Nfa::new();
+    for id in 0..sets.len() {
+        nfa.add_state();
+        if instance.offends(sets.state(id)) {
+            nfa.set_final(id);
+        }
     }
-    index.insert(start.clone(), q0);
-    let mut queue = VecDeque::from([start]);
-    while let Some(set) = queue.pop_front() {
-        let from = index[&set];
-        if instance.offends(&set) {
-            // Offending is absorbing for `forbids`: self-loop on all.
-            for e in alphabet {
-                nfa.add_transition(from, e.clone(), from);
-            }
-            continue;
-        }
-        for e in alphabet {
-            let next = instance.step(&set, e);
-            let to = match index.get(&next) {
-                Some(&id) => id,
-                None => {
-                    let id = nfa.add_state();
-                    if instance.offends(&next) {
-                        nfa.set_final(id);
-                    }
-                    index.insert(next.clone(), id);
-                    queue.push_back(next);
-                    id
-                }
-            };
-            nfa.add_transition(from, e.clone(), to);
-        }
+    nfa.set_start(sets.initial());
+    for (from, e, to) in sets.iter_edges() {
+        nfa.add_transition(from, (*e).clone(), to);
     }
     nfa
 }

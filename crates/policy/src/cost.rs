@@ -16,10 +16,10 @@
 //! The run-time side mirrors it: [`CostMonitor`] tracks accumulated
 //! costs incrementally, exactly like the qualitative validity monitor.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use sufs_hexpr::{Event, Hist, Label, PolicyRef};
+use sufs_hexpr::{Event, Hist, Label, Lts, PolicyRef};
 
 /// How an event's cost is computed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,91 +163,57 @@ pub fn check_cost_bound_lts<K, F>(
     state_bound: usize,
 ) -> Result<CostVerdict, usize>
 where
-    K: Clone + Eq + std::hash::Hash,
+    K: Eq + std::hash::Hash,
     F: FnMut(&K) -> Vec<(Label, K)>,
 {
-    use std::collections::VecDeque;
-
-    // Phase 1: the (state, depth) graph with edge costs.
-    let mut nodes: Vec<(K, usize)> = vec![(initial.clone(), 0)];
-    let mut index: HashMap<(K, usize), usize> = HashMap::from([(nodes[0].clone(), 0)]);
-    let mut edges: Vec<Vec<(u64, usize)>> = Vec::new();
-    let mut next = 0usize;
-    while next < nodes.len() {
-        let (state, depth) = nodes[next].clone();
-        let mut out = Vec::new();
-        for (label, succ_state) in succ(&state) {
-            let (ndepth, cost) = match &label {
-                Label::Ev(e) if depth > 0 => (depth, cb.model.cost(e)),
-                Label::Ev(_) => (depth, 0),
-                Label::FrameOpen(p) | Label::Open(_, Some(p)) if p == &cb.policy => (depth + 1, 0),
-                Label::FrameClose(p) | Label::Close(_, Some(p)) if p == &cb.policy => {
-                    (depth.saturating_sub(1), 0)
-                }
-                _ => (depth, 0),
-            };
-            let key = (succ_state, ndepth);
-            let id = match index.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = nodes.len();
-                    if id >= state_bound {
-                        return Err(state_bound);
+    // Phase 1: the (state, depth) graph, each edge labelled with its cost.
+    let windows = Lts::explore((initial, 0usize), state_bound, |(state, depth)| {
+        succ(state)
+            .into_iter()
+            .map(|(label, next)| {
+                let (ndepth, cost) = match &label {
+                    Label::Ev(e) if *depth > 0 => (*depth, cb.model.cost(e)),
+                    Label::FrameOpen(p) | Label::Open(_, Some(p)) if p == &cb.policy => {
+                        (depth + 1, 0)
                     }
-                    index.insert(key.clone(), id);
-                    nodes.push(key);
-                    id
-                }
-            };
-            out.push((cost, id));
-        }
-        edges.push(out);
-        next += 1;
-    }
-    if positive_cycle(nodes.len(), &edges) {
+                    Label::FrameClose(p) | Label::Close(_, Some(p)) if p == &cb.policy => {
+                        (depth.saturating_sub(1), 0)
+                    }
+                    _ => (*depth, 0),
+                };
+                (cost, (next, ndepth))
+            })
+            .collect()
+    })
+    .map_err(|e| e.bound)?;
+    if positive_cycle(&windows) {
         return Ok(CostVerdict::Exceeded { witness: None });
     }
 
-    // Phase 2: costs are finite; explore exact configurations. The
-    // first crossing above the bound is the smallest witness.
-    let mut seen: HashMap<(K, usize, u64), ()> = HashMap::new();
-    let mut queue: VecDeque<(K, usize, u64)> = VecDeque::new();
-    let init = (initial, 0usize, 0u64);
-    seen.insert(init.clone(), ());
-    queue.push_back(init);
+    // Phase 2: costs are finite; explore exact (node, accumulated cost)
+    // configurations over phase 1's edges. Closing the last window (an
+    // edge landing at depth 0) resets the cost; a crossing above the
+    // bound is not chased further, since any deeper overshoot is larger.
     let mut worst = 0u64;
     let mut witness: Option<u64> = None;
-    while let Some((state, depth, cost)) = queue.pop_front() {
-        for (label, succ_state) in succ(&state) {
-            let (ndepth, ncost) = match &label {
-                Label::Ev(e) if depth > 0 => (depth, cost + cb.model.cost(e)),
-                Label::Ev(_) => (depth, cost),
-                Label::FrameOpen(p) | Label::Open(_, Some(p)) if p == &cb.policy => {
-                    (depth + 1, cost)
-                }
-                Label::FrameClose(p) | Label::Close(_, Some(p)) if p == &cb.policy => {
-                    let d = depth.saturating_sub(1);
-                    (d, if d == 0 { 0 } else { cost })
-                }
-                _ => (depth, cost),
+    Lts::explore((windows.initial(), 0u64), state_bound, |&(node, cost)| {
+        let mut out = Vec::new();
+        for &(edge_cost, to) in windows.edges(node) {
+            let ncost = if windows.state(to).1 == 0 {
+                0
+            } else {
+                cost + edge_cost
             };
             if ncost > cb.bound {
                 witness = Some(witness.map_or(ncost, |w| w.min(ncost)));
-                // No need to chase costs beyond the bound further: any
-                // deeper overshoot is larger.
-                continue;
-            }
-            worst = worst.max(ncost);
-            let key = (succ_state, ndepth, ncost);
-            if !seen.contains_key(&key) {
-                if seen.len() >= state_bound {
-                    return Err(state_bound);
-                }
-                seen.insert(key.clone(), ());
-                queue.push_back(key);
+            } else {
+                worst = worst.max(ncost);
+                out.push(((), (to, ncost)));
             }
         }
-    }
+        out
+    })
+    .map_err(|e| e.bound)?;
     Ok(match witness {
         Some(w) => CostVerdict::Exceeded { witness: Some(w) },
         None => CostVerdict::Within { worst },
@@ -255,7 +221,8 @@ where
 }
 
 /// Detects a cycle containing a positive-cost edge (Tarjan SCC).
-fn positive_cycle(n: usize, edges: &[Vec<(u64, usize)>]) -> bool {
+fn positive_cycle<K>(graph: &Lts<K, u64>) -> bool {
+    let n = graph.len();
     // Iterative Tarjan.
     let mut indexv = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
@@ -276,8 +243,8 @@ fn positive_cycle(n: usize, edges: &[Vec<(u64, usize)>]) -> bool {
         stack.push(root);
         on_stack[root] = true;
         while let Some(&mut (v, ref mut ei)) = call.last_mut() {
-            if *ei < edges[v].len() {
-                let (_, w) = edges[v][*ei];
+            if *ei < graph.edges(v).len() {
+                let (_, w) = graph.edges(v)[*ei];
                 *ei += 1;
                 if indexv[w] == usize::MAX {
                     indexv[w] = counter;
@@ -311,14 +278,9 @@ fn positive_cycle(n: usize, edges: &[Vec<(u64, usize)>]) -> bool {
     // A positive-cost edge within one SCC means unbounded accumulation
     // (the charging depth is part of the node, so the cycle stays in a
     // window).
-    for (v, out) in edges.iter().enumerate() {
-        for (cost, w) in out {
-            if *cost > 0 && comp[v] == comp[*w] {
-                return true;
-            }
-        }
-    }
-    false
+    graph
+        .iter_edges()
+        .any(|(v, &cost, w)| cost > 0 && comp[v] == comp[w])
 }
 
 /// The incremental run-time side of [`CostBound`].

@@ -10,9 +10,10 @@
 //! unchanged (the implicit self-loops drawn as `*` in Fig. 1).
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use crate::guard::Guard;
-use sufs_hexpr::EventName;
+use sufs_hexpr::{EventName, Lts};
 
 /// A named state of a usage automaton.
 pub type StateId = usize;
@@ -230,30 +231,23 @@ impl UsageAutomaton {
     /// the path is actually realisable by some system is a separate
     /// (language-level) question.
     pub fn structural_offending_path(&self) -> Option<Vec<&UsageTransition>> {
-        let mut parent: Vec<Option<usize>> = vec![None; self.num_states];
-        let mut seen = vec![false; self.num_states];
-        seen[self.start] = true;
-        let mut queue = std::collections::VecDeque::from([self.start]);
-        while let Some(q) = queue.pop_front() {
+        let (graph, found) = Lts::search(self.start, self.num_states, |&q, out| {
             if self.is_offending(q) {
-                let mut path = Vec::new();
-                let mut cur = q;
-                while let Some(t) = parent[cur] {
-                    path.push(&self.transitions[t]);
-                    cur = self.transitions[t].from;
-                }
-                path.reverse();
-                return Some(path);
+                return ControlFlow::Break(());
             }
-            for (i, t) in self.transitions.iter().enumerate() {
-                if t.from == q && !seen[t.to] {
-                    seen[t.to] = true;
-                    parent[t.to] = Some(i);
-                    queue.push_back(t.to);
-                }
-            }
-        }
-        None
+            let from_q = self.transitions.iter().enumerate();
+            out.extend(from_q.filter(|(_, t)| t.from == q).map(|(i, t)| (i, t.to)));
+            ControlFlow::Continue(())
+        })
+        .expect("an automaton has `num_states` states");
+        let (at, ()) = found?;
+        Some(
+            graph
+                .path_to(at)
+                .into_iter()
+                .map(|i| &self.transitions[i])
+                .collect(),
+        )
     }
 }
 

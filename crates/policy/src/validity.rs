@@ -10,10 +10,10 @@
 //! are well nested (depths are bounded by the syntactic nesting), the
 //! product is finite and validity is a plain safety/reachability check.
 
-use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
+use std::ops::ControlFlow;
 
 use crate::instance::PolicyInstance;
 use crate::registry::{PolicyError, PolicyRegistry};
@@ -91,7 +91,10 @@ impl From<PolicyError> for ValidityError {
 type Tracks = Vec<(BTreeSet<usize>, usize)>;
 
 /// Model-checks validity of the transition system rooted at `initial`
-/// with successor function `succ`, under the policies of `registry`.
+/// with successor function `succ`, under the policies of `registry`:
+/// the system is explored ([`Lts::explore`]), its policies are read off
+/// its labels ([`GraphLabels::of`]) and [`check_explored`] walks the
+/// product.
 ///
 /// Labels are interpreted as follows: events feed every policy
 /// automaton; `⌞φ` / `open_{r,φ}` increment the depth of `φ`;
@@ -101,7 +104,8 @@ type Tracks = Vec<(BTreeSet<usize>, usize)>;
 ///
 /// Returns [`ValidityError::Policy`] if a mentioned policy is unknown or
 /// ill-instantiated, and [`ValidityError::BoundExceeded`] if more than
-/// `bound` product states are reachable.
+/// `bound` states of the system, or of the product before its first bad
+/// state, are reachable.
 ///
 /// # Examples
 ///
@@ -118,18 +122,17 @@ type Tracks = Vec<(BTreeSet<usize>, usize)>;
 /// ```
 pub fn check_validity<K, F>(
     initial: K,
-    mut succ: F,
+    succ: F,
     registry: &PolicyRegistry,
     bound: usize,
 ) -> Result<Verdict, ValidityError>
 where
-    K: Clone + Eq + Hash,
+    K: Eq + Hash,
     F: FnMut(&K) -> Vec<(Label, K)>,
 {
-    // Phase 1: discover the policy universe by exploring the plain LTS.
-    let instances = collect_instances(&initial, &mut succ, registry, bound)?;
-    // Phase 2: product exploration with per-instance tracks.
-    product_walk(initial, succ, &instances, bound)
+    let graph =
+        Lts::explore(initial, bound, succ).map_err(|e| ValidityError::BoundExceeded(e.bound))?;
+    check_explored(&graph, &GraphLabels::of(&graph).policies, registry, bound)
 }
 
 /// What one pass over the labels of an explored transition system
@@ -172,6 +175,11 @@ impl GraphLabels {
 /// [`GraphLabels::policies`]; the verdict and its witness are those
 /// `check_validity` returns from the graph's initial state.
 ///
+/// The product of the graph with one track per policy instance is
+/// searched breadth first and the search stops at the first edge into
+/// a bad product state, which is never stored: its witness is the
+/// breadth-first path to the edge's source followed by the edge.
+///
 /// # Errors
 ///
 /// As [`check_validity`].
@@ -185,102 +193,34 @@ pub fn check_explored<K>(
         .iter()
         .map(|p| registry.instantiate(p))
         .collect::<Result<Vec<_>, _>>()?;
-    let succ = |&id: &usize| graph.edges(id).iter().map(|(label, to)| (label, *to));
-    product_walk(graph.initial(), succ, &instances, bound)
-}
-
-/// The breadth-first walk of the product of a transition system with
-/// one track per policy instance, stopping at the first bad state.
-/// Labels are cloned only into the parent links of new product states.
-fn product_walk<K, B, I, F>(
-    initial: K,
-    mut succ: F,
-    instances: &[PolicyInstance],
-    bound: usize,
-) -> Result<Verdict, ValidityError>
-where
-    K: Clone + Eq + Hash,
-    B: Borrow<Label>,
-    I: IntoIterator<Item = (B, K)>,
-    F: FnMut(&K) -> I,
-{
-    let tracks0: Tracks = instances.iter().map(|i| (i.initial(), 0)).collect();
-    let start = (initial, tracks0);
-    let mut index: HashMap<(K, Tracks), usize> = HashMap::new();
-    let mut parents: Vec<Option<(usize, Label)>> = vec![None];
-    let mut states: Vec<(K, Tracks)> = vec![start.clone()];
-    index.insert(start, 0);
-    let mut queue = VecDeque::from([0usize]);
-
-    while let Some(id) = queue.pop_front() {
-        let (k, tracks) = states[id].clone();
-        for (label, k2) in succ(&k) {
-            let label = label.borrow();
+    let tracks: Tracks = instances.iter().map(|i| (i.initial(), 0)).collect();
+    let (product, bad) = Lts::search((graph.initial(), tracks), bound, |(id, tracks), out| {
+        for (label, to) in graph.edges(*id) {
             let mut t2 = tracks.clone();
-            apply_label(label, instances, &mut t2);
-            // Bad state?
-            if let Some(pos) = t2
+            apply_label(label, &instances, &mut t2);
+            let offended = t2
                 .iter()
-                .enumerate()
-                .position(|(i, (set, depth))| *depth > 0 && instances[i].offends(set))
-            {
-                let mut witness = reconstruct(&parents, id);
-                witness.push(label.clone());
-                return Ok(Verdict::Violation(SecurityViolation {
-                    policy: instances[pos].reference().clone(),
-                    witness,
-                }));
+                .zip(&instances)
+                .position(|((set, depth), inst)| *depth > 0 && inst.offends(set));
+            if let Some(pos) = offended {
+                return ControlFlow::Break((pos, label));
             }
-            let key = (k2, t2);
-            if !index.contains_key(&key) {
-                let nid = states.len();
-                if nid >= bound {
-                    return Err(ValidityError::BoundExceeded(bound));
-                }
-                index.insert(key.clone(), nid);
-                states.push(key);
-                parents.push(Some((id, label.clone())));
-                queue.push_back(nid);
-            }
+            out.push((label, (*to, t2)));
         }
-    }
-    Ok(Verdict::Valid)
-}
-
-fn collect_instances<K, F>(
-    initial: &K,
-    succ: &mut F,
-    registry: &PolicyRegistry,
-    bound: usize,
-) -> Result<Vec<PolicyInstance>, ValidityError>
-where
-    K: Clone + Eq + Hash,
-    F: FnMut(&K) -> Vec<(Label, K)>,
-{
-    let mut refs: Vec<PolicyRef> = Vec::new();
-    let mut seen: HashMap<K, ()> = HashMap::from([(initial.clone(), ())]);
-    let mut queue = VecDeque::from([initial.clone()]);
-    while let Some(k) = queue.pop_front() {
-        for (label, k2) in succ(&k) {
-            if let Some(p) = policy_of(&label) {
-                if !refs.contains(p) {
-                    refs.push(p.clone());
-                }
-            }
-            if !seen.contains_key(&k2) {
-                if seen.len() >= bound {
-                    return Err(ValidityError::BoundExceeded(bound));
-                }
-                seen.insert(k2.clone(), ());
-                queue.push_back(k2);
-            }
+        ControlFlow::Continue(())
+    })
+    .map_err(|e| ValidityError::BoundExceeded(e.bound))?;
+    Ok(match bad {
+        None => Verdict::Valid,
+        Some((at, (pos, label))) => {
+            let mut witness: Vec<Label> = product.path_to(at).into_iter().cloned().collect();
+            witness.push(label.clone());
+            Verdict::Violation(SecurityViolation {
+                policy: instances[pos].reference().clone(),
+                witness,
+            })
         }
-    }
-    let mut instances = Vec::with_capacity(refs.len());
-    for r in refs {
-        instances.push(registry.instantiate(&r)?);
-    }
-    Ok(instances)
+    })
 }
 
 fn policy_of(label: &Label) -> Option<&PolicyRef> {
@@ -310,16 +250,6 @@ fn apply_label(label: &Label, instances: &[PolicyInstance], tracks: &mut Tracks)
         }
         _ => {}
     }
-}
-
-fn reconstruct(parents: &[Option<(usize, Label)>], mut id: usize) -> Vec<Label> {
-    let mut out = Vec::new();
-    while let Some((p, l)) = &parents[id] {
-        out.push(l.clone());
-        id = *p;
-    }
-    out.reverse();
-    out
 }
 
 #[cfg(test)]
